@@ -23,10 +23,10 @@ module's AST and flags the constructs that silently break that purity:
   ``sorted(...)`` instead; membership tests and ``len()`` are untouched.
 * **D105** — module-level *mutable* state in ``repro/simnet/`` (a list /
   dict / set / comprehension / ``collections`` container bound to a
-  module global).  Since the multi-session refactor, K sessions
-  interleave in one process; anything mutable at module scope is shared
-  across all of them and can couple their simulations.  Scope the state
-  to the :class:`~repro.simnet.engine.SessionContext` (or suppress with
+  module global).  A campaign process simulates many sessions one after
+  another; anything mutable at module scope is shared across all of them
+  and can couple their simulations.  Scope the state to the
+  :class:`~repro.simnet.engine.Simulator` (or suppress with
   a justification for deliberately shared, value-safe pools).
   ``ALL_CAPS`` constants and dunders are exempt by convention; the rule
   only applies to files under a ``simnet`` directory.
@@ -343,8 +343,8 @@ class DeterminismVisitor(ast.NodeVisitor):
                 self._add(
                     stmt, "D105",
                     f"module-level mutable state {target.id!r} is shared "
-                    "across every interleaved session in the process; scope "
-                    "it to the SessionContext",
+                    "across every session the process simulates; scope "
+                    "it to the Simulator",
                 )
                 break
 

@@ -71,8 +71,8 @@ RULES: Dict[str, Rule] = {
             "session-isolation",
             "error",
             "module-level mutable state in repro/simnet/ is shared by every "
-            "interleaved session in the process; scope it to the "
-            "SessionContext (or suppress with a justification for "
+            "session the process simulates; scope it to the "
+            "Simulator (or suppress with a justification for "
             "deliberately shared, value-safe pools)",
         ),
         Rule(

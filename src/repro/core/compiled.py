@@ -26,7 +26,7 @@ Bit-identity is the contract: the gathered columns are the same float64
 values ``transform_rows`` would produce, the formula expressions are the
 same numpy expressions evaluated in the same order, and the decode
 tables hold the same strings ``str(label)`` yields — so predictions and
-reports are byte-identical to the object path (pinned by
+reports are byte-identical to the full ``transform_rows`` path (pinned by
 ``tests/ml/test_compiled_equivalence.py``).  Batches the plan cannot
 prove equivalent — rows of differing lengths, a row missing a needed
 metric, or a row carrying a *sensitive* name that would change a needed

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -42,7 +41,6 @@ from repro.core.construction import FeatureConstructor
 from repro.core.dataset import Dataset
 from repro.core.selection import FeatureSelector
 from repro.core.vantage import ALL_VPS, combo_name, features_for_vps
-from repro.ml.compiled import predict_mode
 from repro.ml.tree import C45Tree
 from repro.obs.telemetry import get_telemetry
 from repro.schemas import ANALYZER_V1, ANALYZER_V2, FC_STATE_V1
@@ -189,8 +187,8 @@ class RootCauseAnalyzer:
     def compiled(self) -> CompiledAnalyzer:
         """The fused batch-diagnosis plan cache for this analyzer.
 
-        Built lazily and discarded on refit; ``diagnose_batch`` uses it
-        whenever ``REPRO_ML_PREDICT`` selects the compiled engine.
+        Built lazily and discarded on refit; ``diagnose_batch`` runs
+        every batch it covers.
         """
         if not self.fitted:
             raise RuntimeError("analyzer must be fit first")
@@ -273,31 +271,21 @@ class RootCauseAnalyzer:
         }
         return self._make_report(predictions)
 
-    def diagnose_record(self, record: object) -> DiagnosisReport:
-        """Deprecated alias: :meth:`diagnose` now accepts records directly."""
-        warnings.warn(
-            "diagnose_record() is deprecated; pass the record to diagnose()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.diagnose(record)
-
     def diagnose_batch(
         self,
         sessions: Iterable["SessionLike"],
     ) -> List[DiagnosisReport]:
         """Vectorized diagnosis of many sessions at once.
 
-        The default engine runs the fused :class:`CompiledAnalyzer` plan
-        (:meth:`compiled`): only the columns the task models consume are
-        gathered and constructed, and the compiled tree plans decode
-        labels through precomputed tables.  With
-        ``REPRO_ML_PREDICT=object`` — or for heterogeneous batches the
-        plans don't cover — the reference path builds the full feature
-        matrix via :meth:`FeatureConstructor.transform_rows` and calls
-        each task model's ``predict(X)`` once.  Both engines produce
-        byte-identical reports, and labels are identical to looping
-        :meth:`diagnose` over the same sessions.
+        The fused :class:`CompiledAnalyzer` plan (:meth:`compiled`)
+        gathers and constructs only the columns the task models consume,
+        and the compiled tree plans decode labels through precomputed
+        tables.  For heterogeneous batches the plans don't cover, the
+        full path builds the whole feature matrix via
+        :meth:`FeatureConstructor.transform_rows` and calls each task
+        model's ``predict(X)`` once.  Both paths produce byte-identical
+        reports, and labels are identical to looping :meth:`diagnose`
+        over the same sessions.
         """
         if not self.fitted:
             raise RuntimeError("analyzer must be fit first")
@@ -316,9 +304,9 @@ class RootCauseAnalyzer:
             return []
         tel = get_telemetry()
         with tel.span("diagnose.batch", sessions=len(rows)):
-            predictions: Optional[Dict[str, Sequence[str]]] = None
-            if predict_mode() == "compiled":
-                predictions = self.compiled().predict_rows(rows, durations)
+            predictions: Optional[Dict[str, Sequence[str]]] = (
+                self.compiled().predict_rows(rows, durations)
+            )
             if predictions is None:
                 matrix, names = self.constructor.transform_rows(
                     rows, session_s=durations

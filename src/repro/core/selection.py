@@ -24,6 +24,7 @@ class FeatureSelector:
         self.max_features = max_features
         self.selected_: List[str] = []
         self.su_map_: Dict[str, float] = {}
+        self.fitted = False
 
     def fit(
         self,
@@ -45,11 +46,13 @@ class FeatureSelector:
             selected = selected[: self.max_features]
         self.selected_ = selected
         self.su_map_ = su_map
+        self.fitted = True
         return self
 
     @property
     def selected(self) -> List[str]:
-        if not self.selected_:
+        """The surviving feature names; empty when FCBF keeps none."""
+        if not self.fitted:
             raise RuntimeError("selector has not been fit")
         return list(self.selected_)
 

@@ -119,18 +119,9 @@ def _shard_entry(
     shards: int,
     shard: int,
     workers: Optional[int],
-    sessions_per_proc: Optional[int],
 ) -> None:
     """Subprocess body: run one shard, resuming from its checkpoint."""
-    run_shard(
-        config,
-        base,
-        shards,
-        shard,
-        workers=workers,
-        sessions_per_proc=sessions_per_proc,
-        resume=True,
-    )
+    run_shard(config, base, shards, shard, workers=workers, resume=True)
 
 
 def _context() -> multiprocessing.context.BaseContext:
@@ -153,7 +144,6 @@ def orchestrate(
     base: Union[str, "os.PathLike[str]"],
     shards: int,
     workers: Optional[int] = None,
-    sessions_per_proc: Optional[int] = None,
     settings: Optional[OrchestratorSettings] = None,
     log: Optional[LogFn] = None,
 ) -> OrchestrateResult:
@@ -197,8 +187,7 @@ def orchestrate(
                 status.state = "running"
                 process = ctx.Process(
                     target=_shard_entry,
-                    args=(config, base, shards, shard,
-                          workers, sessions_per_proc),
+                    args=(config, base, shards, shard, workers),
                 )
                 process.start()
                 span.count("launches")

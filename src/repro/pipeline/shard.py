@@ -277,7 +277,6 @@ def run_shard(
     shards: int,
     shard: int,
     workers: Optional[int] = None,
-    sessions_per_proc: Optional[int] = None,
     resume: bool = False,
     progress: Optional[ProgressFn] = None,
 ) -> ShardResult:
@@ -341,7 +340,6 @@ def run_shard(
                 pairs,
                 progress=progress,
                 workers=workers,
-                sessions_per_proc=sessions_per_proc,
             ):
                 sink.consume(record)
                 span.count("records")

@@ -120,15 +120,17 @@ class MicroBatcher:
         if self._pending_records >= self.max_batch:
             self.flush("full")
         elif self._timer is None:
-            self._arm(loop)
+            self._arm()
         return future
 
-    def _arm(self, loop: asyncio.AbstractEventLoop) -> None:
+    def _arm(self) -> None:
         fire = lambda: self.flush("timer")  # noqa: E731
         if self._schedule is not None:
             self._timer = self._schedule(self.max_wait_s, fire)
         else:
-            self._timer = loop.call_later(self.max_wait_s, fire)
+            self._timer = asyncio.get_running_loop().call_later(
+                self.max_wait_s, fire
+            )
 
     # ----------------------------------------------------------------- flush
 

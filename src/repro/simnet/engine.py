@@ -1,53 +1,32 @@
 """Discrete-event simulation engine.
 
-The engine is split along the session boundary:
+:class:`Simulator` is one session's world: the pending-event queue, the
+virtual clock, the event sequence counter and the seeded random streams.
+Every stochastic component in the testbed (loss draws, netem jitter,
+background traffic inter-arrivals, RSSI shadowing, ...) pulls from its
+simulator's seeded generators so that a campaign is fully reproducible
+from its seed, as required by the evaluation pipeline.  Sessions never
+share a simulator; campaigns spread sessions over worker processes.
 
-* :class:`EventLoop` owns everything *shared*: the pending-event queue
-  (scheduler), the global sequence counter, the recycled-:class:`Event`
-  free list and the processed-event counter.  One loop can interleave
-  many independent sessions.
-* :class:`SessionContext` owns everything *per-session*: the virtual
-  clock and the seeded random streams.  Every stochastic component in
-  the testbed (loss draws, netem jitter, background traffic
-  inter-arrivals, RSSI shadowing, ...) pulls from its context's seeded
-  generators so that a campaign is fully reproducible from its seed, as
-  required by the evaluation pipeline.
-* :class:`Simulator` is the solo convenience: a ``SessionContext`` that
-  builds and owns a private ``EventLoop`` — the original single-session
-  API, unchanged for existing callers.
+The pending queue is a :class:`CalendarScheduler` -- a calendar queue: a
+ring of time buckets, each an independent binary heap keyed on ``(time,
+seq)``, plus an overflow heap for events beyond the ring's horizon.
+Most pushes and pops touch a heap of only the events sharing one bucket,
+and the heap entries are plain tuples so ordering comparisons run in C.
+Events fire in ``(time, seq)`` order: among equal timestamps, schedule
+(FIFO) order wins.  The test suite pins the calendar queue against a
+plain binary-heap oracle (``tests/oracles/scheduler.py``), swapped in
+through :data:`DEFAULT_SCHEDULER`.
 
-Every queue entry is tagged with its owning context; dispatch advances
-the *owner's* clock, so events from different sessions coexist in one
-queue while each session observes exactly the clock it would observe
-running alone.  Per-session event order is preserved because the global
-sequence counter is monotone in creation order: restricted to one
-session, ``(time, seq)`` order equals the order a private loop would
-produce.  :meth:`EventLoop.drain` runs many session plan generators to
-completion on one shared queue under that contract.
-
-Two interchangeable schedulers implement the pending queue:
-
-* :class:`CalendarScheduler` (the default) -- a calendar queue: a ring of
-  time buckets, each an independent binary heap keyed on ``(time, seq)``,
-  plus an overflow heap for events beyond the ring's horizon.  Most pushes
-  and pops touch a heap of only the events sharing one bucket, and the
-  heap entries are plain tuples so ordering comparisons run in C.
-* :class:`ReferenceScheduler` -- the original single binary heap, kept as
-  the semantic reference for differential testing.
-
-Both order events by ``(time, seq)``: among equal timestamps, schedule
-(FIFO) order wins, and the two schedulers are observably identical --
-the equivalence suite pins campaign records as bit-identical across them.
-
-Scheduling has two tiers.  :meth:`SessionContext.schedule` returns a
-cancellable :class:`Event` handle; :meth:`SessionContext.post` is the
+Scheduling has two tiers.  :meth:`Simulator.schedule` returns a
+cancellable :class:`Event` handle; :meth:`Simulator.post` is the
 fire-and-forget fast path used by the data plane (packet serialization,
 delivery, forwarding), which queues a bare ``(time, seq, bucket, fn,
-args, ctx)`` tuple with no handle object at all.  The dispatch loop
-lives in the scheduler so the hot path runs over locals; both tiers
-share one sequence counter, so FIFO ordering across tiers is exact.
+args)`` tuple with no handle object at all.  The dispatch loop lives in
+the scheduler so the hot path runs over locals; both tiers share one
+sequence counter, so FIFO ordering across tiers is exact.
 
-Cancelled events are purged lazily, but each scheduler counts its dead
+Cancelled events are purged lazily, but the scheduler counts its dead
 entries and compacts the queue when more than half the entries are
 cancelled, so a workload that schedules and cancels many timers (TCP RTO
 rearming, probe sampling) keeps the queue bounded by the live event count.
@@ -58,24 +37,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 import sys
 from sys import getrefcount
-from typing import (
-    Any,
-    Callable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.simnet.packet import _graveyard as _packet_graveyard
 from repro.simnet.packet import sweep_freed_packets
-from repro.simnet.rng import RngBlockAllocator, make_random, resolve_rng_mode
+from repro.simnet.rng import BatchedRandom
 
-#: events recycled through the per-loop free list (steady state keeps
+#: events recycled through the per-simulator free list (steady state keeps
 #: allocation near zero; the cap only bounds a burst of simultaneous events)
 _EVENT_POOL_MAX = 256
 
@@ -89,13 +59,11 @@ _N_BUCKETS = 512
 #: bucket-number stand-in for "no limit" (compares above any real bucket)
 _MAX_K = sys.maxsize
 
-# A queue entry is (time, seq, bucket, fn_or_event, args_or_None, ctx): a
-# plain Event for the cancellable tier (args is None), or the callback and
-# its argument tuple directly for the post() tier, plus the owning
-# SessionContext whose clock the dispatch loop advances.  ``seq`` is
-# unique, so heap comparisons never look past it and ordering is exactly
-# (time, seq).
-_SchedEntry = Tuple[float, int, int, Any, Optional[tuple], "SessionContext"]
+# A queue entry is (time, seq, bucket, fn_or_event, args_or_None): a plain
+# Event for the cancellable tier (args is None), or the callback and its
+# argument tuple directly for the post() tier.  ``seq`` is unique, so heap
+# comparisons never look past it and ordering is exactly (time, seq).
+_SchedEntry = Tuple[float, int, int, Any, Optional[tuple]]
 
 
 class Event:
@@ -136,109 +104,6 @@ def _entry_live(entry: _SchedEntry) -> bool:
     return entry[4] is not None or not entry[3].cancelled
 
 
-class ReferenceScheduler:
-    """The original single binary heap, kept for differential testing."""
-
-    name = "reference"
-
-    def __init__(self) -> None:
-        self._heap: List[_SchedEntry] = []
-        self._cancelled = 0
-
-    def insert(
-        self,
-        time: float,
-        seq: int,
-        fn: Any,
-        args: Optional[tuple],
-        ctx: "SessionContext",
-    ) -> None:
-        heapq.heappush(self._heap, (time, seq, 0, fn, args, ctx))
-
-    def make_post(self, ctx: "SessionContext", seq: Any) -> Callable[..., None]:
-        """Build the fire-and-forget fast path bound to this queue.
-
-        The returned closure is installed as ``ctx.post``: it fuses the
-        sequence draw and the heap push into one call frame.  Capturing
-        the heap list is safe because :meth:`compact` rebuilds in place.
-        """
-        heap = self._heap
-        heappush = heapq.heappush
-        seq_next = seq.__next__
-
-        def post(delay: float, fn: Callable, *args: Any) -> None:
-            if delay < 0:
-                raise ValueError(f"cannot schedule in the past (delay={delay})")
-            heappush(heap, (ctx.now + delay, seq_next(), 0, fn, args, ctx))
-
-        return post
-
-    def _run(self, loop: "EventLoop", limit: float) -> int:
-        """Dispatch events with ``time <= limit``; returns the count run."""
-        heap = self._heap
-        heappop = heapq.heappop
-        refcount = getrefcount
-        pool_max = _EVENT_POOL_MAX
-        free = loop._free_events
-        grave = _packet_graveyard
-        sweep = sweep_freed_packets
-        n = 0
-        while loop._running and heap:
-            head = heap[0]
-            if head[0] > limit:
-                break
-            heappop(heap)
-            fn = head[3]
-            args = head[4]
-            if args is None:
-                event = fn
-                event._queue = None
-                if event.cancelled:
-                    self._cancelled -= 1
-                    head = None
-                    if len(free) < pool_max and refcount(event) == 2:
-                        free.append(event)
-                    continue
-                head[5].now = head[0]
-                fn = event.fn
-                args = event.args
-                event.fn = None
-                event.args = ()
-                head = None
-                fn(*args)
-                n += 1
-                args = None
-                if len(free) < pool_max and refcount(event) == 2:
-                    free.append(event)
-            else:
-                head[5].now = head[0]
-                head = None
-                fn(*args)
-                n += 1
-                args = None
-            if grave:
-                sweep()
-        return n
-
-    def note_cancel(self) -> None:
-        self._cancelled += 1
-        if self._cancelled > 32 and self._cancelled * 2 > len(self._heap):
-            self.compact()
-
-    def compact(self) -> None:
-        """Drop cancelled entries and restore the heap invariant."""
-        # In-place so dispatch loops holding a reference stay valid.
-        self._heap[:] = [e for e in self._heap if _entry_live(e)]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-
-    def pending(self) -> int:
-        return len(self._heap) - self._cancelled
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
 class CalendarScheduler:
     """Calendar queue: bucketed near-future ring + far-future overflow heap.
 
@@ -249,15 +114,7 @@ class CalendarScheduler:
     migrate into the ring one revolution ahead of the cursor.  When the
     ring empties the cursor jumps directly to the far head's bucket, so
     sparse workloads never scan empty buckets.
-
-    Multi-session note: sessions behind the global clock (their barrier
-    has not advanced yet) may insert at times whose bucket the cursor
-    already passed; the ``k < cursor`` clamp files those in the current
-    bucket, where the per-bucket heap still orders them by ``(time,
-    seq)`` ahead of later-timed entries.
     """
-
-    name = "calendar"
 
     def __init__(
         self, bucket_width: float = _BUCKET_WIDTH_S, n_buckets: int = _N_BUCKETS
@@ -274,33 +131,25 @@ class CalendarScheduler:
         self._cancelled = 0
 
     def insert(
-        self,
-        time: float,
-        seq: int,
-        fn: Any,
-        args: Optional[tuple],
-        ctx: "SessionContext",
+        self, time: float, seq: int, fn: Any, args: Optional[tuple]
     ) -> None:
         k = int(time / self._width)
         cursor = self._cursor
         if k < cursor:
-            # Reachable through float rounding at a bucket boundary, or a
-            # behind-clock session inserting under the shared cursor; the
+            # Reachable through float rounding at a bucket boundary; the
             # current bucket's heap still orders it correctly by time.
             k = cursor
         if k - cursor < self._nb:
-            heapq.heappush(
-                self._buckets[k % self._nb], (time, seq, k, fn, args, ctx)
-            )
+            heapq.heappush(self._buckets[k % self._nb], (time, seq, k, fn, args))
             self._ring_n += 1
         else:
-            heapq.heappush(self._far, (time, seq, k, fn, args, ctx))
+            heapq.heappush(self._far, (time, seq, k, fn, args))
             self._far_n += 1
 
-    def make_post(self, ctx: "SessionContext", seq: Any) -> Callable[..., None]:
+    def make_post(self, sim: "Simulator", seq: Any) -> Callable[..., None]:
         """Build the fire-and-forget fast path bound to this queue.
 
-        The returned closure is installed as ``ctx.post``: it fuses the
+        The returned closure is installed as ``sim.post``: it fuses the
         sequence draw and the bucket insert into one call frame.  The
         bucket ring and far heap are captured directly, which is safe
         because :meth:`compact` rebuilds both in place.
@@ -315,34 +164,34 @@ class CalendarScheduler:
         def post(delay: float, fn: Callable, *args: Any) -> None:
             if delay < 0:
                 raise ValueError(f"cannot schedule in the past (delay={delay})")
-            time = ctx.now + delay
+            time = sim.now + delay
             k = int(time / width)
             cursor = self._cursor
             if k < cursor:
                 k = cursor
             if k - cursor < nb:
-                heappush(buckets[k % nb], (time, seq_next(), k, fn, args, ctx))
+                heappush(buckets[k % nb], (time, seq_next(), k, fn, args))
                 self._ring_n += 1
             else:
-                heappush(far, (time, seq_next(), k, fn, args, ctx))
+                heappush(far, (time, seq_next(), k, fn, args))
                 self._far_n += 1
 
         return post
 
-    def _run(self, loop: "EventLoop", limit: float) -> int:
+    def _run(self, sim: "Simulator", limit: float) -> int:
         """Dispatch events with ``time <= limit``; returns the count run."""
         buckets = self._buckets
         nb = self._nb
         heappop = heapq.heappop
         refcount = getrefcount
         pool_max = _EVENT_POOL_MAX
-        free = loop._free_events
+        free = sim._free_events
         grave = _packet_graveyard
         sweep = sweep_freed_packets
         limit_k = _MAX_K if limit == math.inf else int(limit / self._width)
         n = 0
         cursor = self._cursor
-        while loop._running:
+        while sim._running:
             if self._ring_n:
                 bucket = buckets[cursor % nb]
                 if bucket:
@@ -365,7 +214,7 @@ class CalendarScheduler:
                                 if len(free) < pool_max and refcount(event) == 2:
                                     free.append(event)
                                 continue
-                            head[5].now = head[0]
+                            sim.now = head[0]
                             fn = event.fn
                             args = event.args
                             event.fn = None
@@ -377,7 +226,7 @@ class CalendarScheduler:
                             if len(free) < pool_max and refcount(event) == 2:
                                 free.append(event)
                         else:
-                            head[5].now = head[0]
+                            sim.now = head[0]
                             head = None
                             fn(*args)
                             n += 1
@@ -472,170 +321,48 @@ class CalendarScheduler:
         return self._ring_n + self._far_n
 
 
-SCHEDULERS = {
-    "calendar": CalendarScheduler,
-    "reference": ReferenceScheduler,
-}
+#: the pending-queue class every :class:`Simulator` builds
+DEFAULT_SCHEDULER = CalendarScheduler
+
+#: the generator class behind ``Simulator.rng`` and :meth:`Simulator.fork_rng`
+#: (draw-for-draw identical to ``random.Random``, which the tests swap in)
+DEFAULT_RANDOM = BatchedRandom
 
 
-def make_scheduler(name: Optional[str] = None):
-    """Build a scheduler by name (default: ``REPRO_SIMNET_SCHEDULER`` env)."""
-    resolved = name or os.environ.get("REPRO_SIMNET_SCHEDULER") or "calendar"
-    try:
-        return SCHEDULERS[resolved]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler {resolved!r} (expected one of "
-            f"{sorted(SCHEDULERS)})"
-        ) from None
+class Simulator:
+    """One session's event loop: a private queue, a clock, seeded streams.
 
-
-#: a session plan: a generator yielding absolute sim-time barriers ("run
-#: my events up to here, then resume me"); its return value is the
-#: session's result.  Produced by the testbed layer, consumed by
-#: :meth:`EventLoop.drain`.
-SessionPlan = Iterator[float]
-
-
-class EventLoop:
-    """The shared half of the engine: one queue serving many sessions.
-
-    Owns the scheduler, the global ``(time, seq)`` sequence counter, the
-    recycled-:class:`Event` free list and the processed-event counter.
-    Sessions attach as :class:`SessionContext` instances; their events
-    coexist in the queue, tagged with the owning context.
-    """
-
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        self.scheduler = make_scheduler(scheduler)
-        self.scheduler_name = self.scheduler.name
-        self._seq = itertools.count()
-        self._running = False
-        self.events_processed = 0
-        self._free_events: List[Event] = []
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Process queued events (all sessions) in ``(time, seq)`` order.
-
-        Stops when the queue is exhausted or the next event is later
-        than ``until``.  The loop has no clock of its own: dispatch
-        advances each event's owning session clock, and clamping a
-        session clock up to a barrier is the session's (or the drain
-        driver's) business.
-        """
-        self._running = True
-        limit = math.inf if until is None else until
-        self.events_processed += self.scheduler._run(self, limit)
-        self._running = False
-
-    def stop(self) -> None:
-        """Stop the loop after the currently executing event returns."""
-        self._running = False
-
-    def pending(self) -> int:
-        """Number of non-cancelled events still queued (all sessions)."""
-        return self.scheduler.pending()
-
-    def drain(self, plans: Sequence[Tuple["SessionContext", SessionPlan]]) -> List[Any]:
-        """Run session plans to completion, interleaved on this queue.
-
-        Each plan generator yields absolute barrier times; between
-        resumes the loop processes *every* session's events up to the
-        minimum outstanding barrier.  A session's own events run in
-        exactly the order (and at exactly the clock readings) a private
-        loop would produce: per-session ``(time, seq)`` order matches
-        the solo order, and a session's clock is only ever advanced by
-        its own events or clamped to its own barrier.  Barriers are
-        non-decreasing per session, so the global limit is monotone.
-
-        Returns one result (the plan's ``return`` value) per plan, in
-        input order.  Plans are resumed in input order among those
-        sharing a barrier, mirroring a serial loop over sessions.
-        """
-        results: List[Any] = [None] * len(plans)
-        active: List[list] = []
-        for i, (ctx, plan) in enumerate(plans):
-            try:
-                active.append([next(plan), i, ctx, plan])
-            except StopIteration as stop:
-                results[i] = stop.value
-        while active:
-            limit = min(entry[0] for entry in active)
-            self.run(until=limit)
-            still: List[list] = []
-            for entry in active:
-                barrier, i, ctx, plan = entry
-                if barrier > limit:
-                    still.append(entry)
-                    continue
-                if ctx.now < barrier:
-                    ctx.now = barrier
-                try:
-                    entry[0] = next(plan)
-                    still.append(entry)
-                except StopIteration as stop:
-                    results[i] = stop.value
-            active = still
-        return results
-
-
-class SessionContext:
-    """The per-session half of the engine: clock + seeded randomness.
-
-    Components receive a ``SessionContext`` (historically named ``sim``)
-    and use its clock (``now``), its scheduling tiers (``schedule`` /
+    Components receive the simulator (conventionally named ``sim``) and
+    use its clock (``now``), its scheduling tiers (``schedule`` /
     ``post``) and its random helpers.  All world state a component
     creates (nodes, links, endpoints, probes, faults) hangs off the
-    context that built it; nothing session-scoped lives at module level
-    (lint rule D105 enforces this for :mod:`repro.simnet`).
+    simulator that built it; nothing session-scoped lives at module
+    level (lint rule D105 enforces this for :mod:`repro.simnet`).
 
     Parameters
     ----------
-    loop:
-        The (possibly shared) :class:`EventLoop` this session's events
-        are queued on.
     seed:
         Seed for both the ``random.Random``-compatible instance
         (hot-path draws such as per-packet loss) and auxiliary
         generators derived from it via :meth:`fork_rng`.
-    rng_mode:
-        ``"batched"`` (default; numpy-backed block draws) or
-        ``"stdlib"``; overridable with ``REPRO_SIMNET_RNG``.  Both
-        produce identical draw sequences.
-    allocator:
-        Optional shared :class:`~repro.simnet.rng.RngBlockAllocator`
-        that carves this session's batched-RNG blocks out of a common
-        word budget (used when many sessions share one loop).
     """
 
-    def __init__(
-        self,
-        loop: EventLoop,
-        seed: int = 0,
-        rng_mode: Optional[str] = None,
-        allocator: Optional[RngBlockAllocator] = None,
-    ) -> None:
-        self.loop = loop
-        self.scheduler = loop.scheduler
-        self.scheduler_name = loop.scheduler_name
-        self._insert = loop.scheduler.insert
-        self._seq = loop._seq
-        self._free_events = loop._free_events
+    def __init__(self, seed: int = 0) -> None:
+        self.scheduler = DEFAULT_SCHEDULER()
+        self._insert = self.scheduler.insert
+        self._seq = itertools.count()
+        self._running = False
+        self._free_events: List[Event] = []
+        self.events_processed = 0
         #: fire-and-forget ``schedule``: ``post(delay, fn, *args)`` queues a
         #: bare tuple with no cancellation handle.  The hot-path tier: same
         #: clock, same FIFO sequence space, same ordering guarantees, built
         #: by the scheduler as a single fused call frame.
-        self.post: Callable[..., None] = loop.scheduler.make_post(self, self._seq)
+        self.post: Callable[..., None] = self.scheduler.make_post(self, self._seq)
         #: current simulation time in seconds (read-only for components)
         self.now = 0.0
         self.seed = seed
-        self.rng_mode = resolve_rng_mode(rng_mode)
-        self.rng = make_random(seed, self.rng_mode, allocator=allocator)
-
-    @property
-    def events_processed(self) -> int:
-        """Events processed by the owning loop (all sessions sharing it)."""
-        return self.loop.events_processed
+        self.rng = DEFAULT_RANDOM(seed)
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
@@ -658,7 +385,7 @@ class SessionContext:
             seq = next(self._seq)
             event = Event(time, seq, fn, args)
         event._queue = self.scheduler
-        self._insert(time, seq, event, None, self)
+        self._insert(time, seq, event, None)
         return event
 
     def schedule_at(self, time: float, fn: Callable, *args: Any) -> Event:
@@ -681,22 +408,21 @@ class SessionContext:
         ``until``.  When ``until`` is given the clock is advanced to it even
         if no event fires exactly there, so back-to-back ``run`` calls see a
         monotone clock.
-
-        On a shared loop this processes *all* attached sessions' events;
-        interleaved batches should drive the loop through
-        :meth:`EventLoop.drain` instead.
         """
-        self.loop.run(until)
+        self._running = True
+        limit = math.inf if until is None else until
+        self.events_processed += self.scheduler._run(self, limit)
+        self._running = False
         if until is not None and self.now < until:
             self.now = until
 
     def stop(self) -> None:
         """Stop the loop after the currently executing event returns."""
-        self.loop.stop()
+        self._running = False
 
     def pending(self) -> int:
-        """Number of non-cancelled events still queued on the loop."""
-        return self.loop.pending()
+        """Number of non-cancelled events still queued."""
+        return self.scheduler.pending()
 
     # -- random helpers ----------------------------------------------------
     # Centralised so components never touch module-level randomness.
@@ -734,34 +460,4 @@ class SessionContext:
 
     def fork_rng(self, label: str):
         """Derive an independent, reproducible RNG for a subsystem."""
-        return make_random(f"{self.seed}/{label}", self.rng_mode)
-
-
-class Simulator(SessionContext):
-    """A single-session event loop: one private queue, one clock.
-
-    The original engine API, kept for every solo caller and test: a
-    ``Simulator`` is simply a :class:`SessionContext` that builds and
-    owns its own :class:`EventLoop`.  Multi-session callers build one
-    ``EventLoop`` and several ``SessionContext`` instances instead.
-
-    Parameters
-    ----------
-    seed:
-        Seed for the session's random streams.
-    scheduler:
-        ``"calendar"`` (default) or ``"reference"``; overridable with the
-        ``REPRO_SIMNET_SCHEDULER`` environment variable.  Both produce
-        identical event order.
-    rng_mode:
-        ``"batched"`` (default) or ``"stdlib"``; overridable with
-        ``REPRO_SIMNET_RNG``.  Both produce identical draw sequences.
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        scheduler: Optional[str] = None,
-        rng_mode: Optional[str] = None,
-    ):
-        super().__init__(EventLoop(scheduler), seed=seed, rng_mode=rng_mode)
+        return DEFAULT_RANDOM(f"{self.seed}/{label}")

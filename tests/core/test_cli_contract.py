@@ -54,6 +54,17 @@ def test_help_exits_zero(command, capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--batch"],
+    ["campaign", "--out", "x.pkl", "--sessions-per-proc", "4"],
+    ["stream", "--sessions-per-proc", "4"],
+], ids=["diagnose-batch", "campaign-sessions-per-proc",
+        "stream-sessions-per-proc"])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_command_is_usage_error(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
@@ -112,7 +123,7 @@ def test_campaign_envelope(tmp_path, capsys, monkeypatch):
     import repro.cli as cli
     from repro.core.dataset import Dataset, Instance
 
-    def tiny(kind, instances, workers=None, sessions_per_proc=None):
+    def tiny(kind, instances, workers=None):
         return Dataset([
             Instance(features={"mobile_tcp_pkts": 1.0},
                      labels={"severity": "good", "location": "good",

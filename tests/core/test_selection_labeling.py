@@ -68,6 +68,52 @@ def test_selector_unfit_access_rejected():
         FeatureSelector().selected
 
 
+def uninformative_dataset(n=40, seed=0):
+    """Severity follows the RTT; location labels are coin flips."""
+    rng = np.random.default_rng(seed)
+    instances = []
+    for _ in range(n):
+        features = {name: float(rng.uniform(1, 100)) for name in (
+            "mobile_tcp_rtt_avg", "mobile_hw_cpu_avg", "mobile_tcp_c2s_pkts")}
+        severity = "good" if features["mobile_tcp_rtt_avg"] < 50 else "severe"
+        instances.append(Instance(
+            features=features,
+            labels={"severity": severity,
+                    "location": str(rng.choice(["lan_mild", "wan_mild"])),
+                    "exact": severity, "existence": "good"},
+            meta={"session_s": 30.0},
+        ))
+    return Dataset(instances)
+
+
+def test_selector_empty_selection_is_still_fitted():
+    selector = FeatureSelector().fit(uninformative_dataset(), "location")
+    assert selector.selected == []
+
+
+def test_analyzer_falls_back_to_all_features_when_fcbf_keeps_none():
+    """FCBF keeping nothing for one task must not crash ``fit``."""
+    from repro.core.diagnosis import RootCauseAnalyzer
+
+    ds = uninformative_dataset()
+    analyzer = RootCauseAnalyzer(vps=("mobile",)).fit(ds)
+    assert analyzer.features["severity"] == ["mobile_tcp_rtt_avg"]
+    assert set(analyzer.features["location"]) >= set(ds.feature_names)
+    assert analyzer.diagnose(ds[0]).location in ("lan_mild", "wan_mild")
+
+
+def test_analyzer_fits_single_class_task():
+    """A one-class task: every SU is 1 by definition, FCBF keeps one."""
+    from repro.core.diagnosis import RootCauseAnalyzer
+
+    ds = uninformative_dataset()
+    for inst in ds.instances:
+        inst.labels["location"] = "good"
+    analyzer = RootCauseAnalyzer(vps=("mobile",)).fit(ds)
+    assert len(analyzer.features["location"]) == 1
+    assert analyzer.diagnose(ds[0]).location == "good"
+
+
 def test_ranked_su_descending():
     ds = synthetic_dataset()
     selector = FeatureSelector().fit(ds, "severity")

@@ -1,32 +1,26 @@
-"""End-to-end pin: served responses are identical across prediction engines.
+"""End-to-end pin: served responses match the object prediction oracle.
 
-``REPRO_ML_PREDICT`` is read per call, so a running server switches
-engines between requests without a restart.  The same request posted
-under ``compiled`` and ``object`` must come back byte-identical as
-canonical JSON — the serving layer puts nothing nondeterministic in the
-body (latency goes to telemetry only), so any divergence is a real
-compiled/object mismatch.
+The in-process server evaluates on whatever the analyzer's classes do
+at request time, so patching in the object oracle
+(``tests/oracles/tree.py``) switches a running server without a
+restart.  The same request posted under ``compiled`` and ``object`` must
+come back byte-identical as canonical JSON — the serving layer puts
+nothing nondeterministic in the body (latency goes to telemetry only),
+so any divergence is a real compiled/object mismatch.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.api import REQUEST_SCHEMA, canonical_json
-from repro.ml.compiled import PREDICT_MODE_ENV
 from repro.pipeline.records import record_to_dict
+from tests.oracles.tree import object_engine
 
 
 def _post_under_mode(server, payload, mode):
-    before = os.environ.get(PREDICT_MODE_ENV)
-    os.environ[PREDICT_MODE_ENV] = mode
-    try:
-        return server.request("POST", "/v1/diagnose", payload)
-    finally:
-        if before is None:
-            os.environ.pop(PREDICT_MODE_ENV, None)
-        else:
-            os.environ[PREDICT_MODE_ENV] = before
+    if mode == "object":
+        with object_engine():
+            return server.request("POST", "/v1/diagnose", payload)
+    return server.request("POST", "/v1/diagnose", payload)
 
 
 def test_served_bodies_byte_identical_across_predict_modes(

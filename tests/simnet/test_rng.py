@@ -11,12 +11,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simnet.rng import (
-    _BLOCK_MIN,
-    BatchedRandom,
-    make_random,
-    resolve_rng_mode,
-)
+from repro.simnet import engine
+from repro.simnet.engine import Simulator
+from repro.simnet.rng import _BLOCK_MIN, BatchedRandom
 
 
 def test_random_sequence_exact_across_refills():
@@ -132,21 +129,20 @@ def test_getstate_setstate_self_round_trip():
     assert [bat.random() for _ in range(50)] == tail
 
 
-# ------------------------------------------------------------- factory
+# ------------------------------------------------------------- simulator
 
 
-def test_resolve_mode_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SIMNET_RNG", raising=False)
-    assert resolve_rng_mode() == "batched"
-    monkeypatch.setenv("REPRO_SIMNET_RNG", "stdlib")
-    assert resolve_rng_mode() == "stdlib"
-    assert resolve_rng_mode("batched") == "batched"  # explicit wins
-    with pytest.raises(ValueError):
-        resolve_rng_mode("xorshift")
-
-
-def test_make_random_modes_agree():
-    a = make_random(5, "batched")
-    b = make_random(5, "stdlib")
-    assert isinstance(b, random.Random) and not isinstance(b, BatchedRandom)
-    assert [a.random() for _ in range(100)] == [b.random() for _ in range(100)]
+def test_simulator_streams_match_stdlib_oracle(monkeypatch):
+    """The main and forked streams draw what ``random.Random`` would."""
+    batched = Simulator(seed=5)
+    assert isinstance(batched.rng, BatchedRandom)
+    monkeypatch.setattr(engine, "DEFAULT_RANDOM", random.Random)
+    oracle = Simulator(seed=5)
+    assert type(oracle.rng) is random.Random
+    assert [batched.rng.random() for _ in range(100)] == [
+        oracle.rng.random() for _ in range(100)
+    ]
+    fork_a, fork_b = batched.fork_rng("x"), oracle.fork_rng("x")
+    assert [fork_a.gauss(0, 1) for _ in range(100)] == [
+        fork_b.gauss(0, 1) for _ in range(100)
+    ]

@@ -1,43 +1,31 @@
-"""Scheduler semantics, pinned against both implementations.
+"""Scheduler semantics, pinned against the binary-heap oracle.
 
-The calendar queue must be observably identical to the reference binary
-heap: same firing order (time, then FIFO among equal timestamps, across
-both scheduling tiers), same cancellation semantics, and a pending queue
-bounded by the live event count even under heavy schedule/cancel churn.
+The calendar queue must be observably identical to the oracle heap in
+``tests/oracles/scheduler.py``: same firing order (time, then FIFO among
+equal timestamps, across both scheduling tiers), same cancellation
+semantics, and a pending queue bounded by the live event count even
+under heavy schedule/cancel churn.  Every semantic test runs on both.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simnet.engine import (
-    CalendarScheduler,
-    ReferenceScheduler,
-    SCHEDULERS,
-    Simulator,
-    make_scheduler,
-)
+from repro.simnet import engine
+from repro.simnet.engine import CalendarScheduler, Simulator
+from tests.oracles.scheduler import HeapScheduler
 
-BOTH = sorted(SCHEDULERS)
+SCHEDULERS = {"calendar": CalendarScheduler, "reference": HeapScheduler}
 
 
-@pytest.fixture(params=BOTH)
-def scheduler_name(request):
+@pytest.fixture(params=sorted(SCHEDULERS))
+def scheduler_name(request, monkeypatch):
+    """Every Simulator built in the test uses the named scheduler."""
+    monkeypatch.setattr(engine, "DEFAULT_SCHEDULER", SCHEDULERS[request.param])
     return request.param
 
 
-def test_registry_contains_both():
-    assert set(SCHEDULERS) == {"calendar", "reference"}
-    assert isinstance(make_scheduler("calendar"), CalendarScheduler)
-    assert isinstance(make_scheduler("reference"), ReferenceScheduler)
-    with pytest.raises(ValueError):
-        make_scheduler("nope")
-
-
-def test_env_selects_scheduler(monkeypatch):
-    monkeypatch.setenv("REPRO_SIMNET_SCHEDULER", "reference")
-    assert Simulator().scheduler_name == "reference"
-    monkeypatch.delenv("REPRO_SIMNET_SCHEDULER")
-    assert Simulator().scheduler_name == "calendar"
+def test_calendar_is_the_default():
+    assert isinstance(Simulator().scheduler, CalendarScheduler)
 
 
 # ------------------------------------------------------------- ordering
@@ -45,7 +33,7 @@ def test_env_selects_scheduler(monkeypatch):
 
 def test_equal_timestamp_fifo_across_tiers(scheduler_name):
     """schedule() and post() share one sequence space: FIFO among ties."""
-    sim = Simulator(scheduler=scheduler_name)
+    sim = Simulator()
     fired = []
     sim.schedule(1.0, fired.append, 0)
     sim.post(1.0, fired.append, 1)
@@ -56,7 +44,7 @@ def test_equal_timestamp_fifo_across_tiers(scheduler_name):
 
 
 def test_post_fires_in_time_order(scheduler_name):
-    sim = Simulator(scheduler=scheduler_name)
+    sim = Simulator()
     fired = []
     for delay in (2.0, 0.5, 1.5, 0.25):
         sim.post(delay, fired.append, delay)
@@ -65,13 +53,13 @@ def test_post_fires_in_time_order(scheduler_name):
 
 
 def test_post_negative_delay_rejected(scheduler_name):
-    sim = Simulator(scheduler=scheduler_name)
+    sim = Simulator()
     with pytest.raises(ValueError):
         sim.post(-0.01, lambda: None)
 
 
 def test_schedule_at_in_past_raises(scheduler_name):
-    sim = Simulator(scheduler=scheduler_name)
+    sim = Simulator()
     sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.now == 1.0
@@ -81,7 +69,7 @@ def test_schedule_at_in_past_raises(scheduler_name):
 
 def test_far_horizon_events_fire_in_order(scheduler_name):
     """Events beyond the calendar ring (overflow heap) stay ordered."""
-    sim = Simulator(scheduler=scheduler_name)
+    sim = Simulator()
     fired = []
     # Mix of near (in-ring) and far (seconds out: overflow) timestamps.
     for delay in (5.0, 0.001, 120.0, 0.3, 60.0, 0.002, 600.0):
@@ -93,7 +81,7 @@ def test_far_horizon_events_fire_in_order(scheduler_name):
 
 def test_run_limit_between_buckets(scheduler_name):
     """run(until) between two events leaves the later one queued."""
-    sim = Simulator(scheduler=scheduler_name)
+    sim = Simulator()
     fired = []
     sim.post(0.1, fired.append, "a")
     sim.post(90.0, fired.append, "b")  # far bucket for the calendar
@@ -108,7 +96,7 @@ def test_run_limit_between_buckets(scheduler_name):
 
 def test_cancel_during_dispatch_is_safe(scheduler_name):
     """A callback may cancel a later pending event mid-dispatch."""
-    sim = Simulator(scheduler=scheduler_name)
+    sim = Simulator()
     fired = []
     victim = sim.schedule(2.0, fired.append, "victim")
     sim.schedule(1.0, victim.cancel)
@@ -120,7 +108,7 @@ def test_cancel_during_dispatch_is_safe(scheduler_name):
 
 def test_cancel_same_timestamp_during_dispatch(scheduler_name):
     """Cancelling an event scheduled at the *current* instant is honoured."""
-    sim = Simulator(scheduler=scheduler_name)
+    sim = Simulator()
     fired = []
     victim = sim.schedule(1.0, fired.append, "victim")
 
@@ -129,7 +117,7 @@ def test_cancel_same_timestamp_during_dispatch(scheduler_name):
         victim.cancel()
 
     # Same timestamp, earlier sequence number: runs first.
-    sim.scheduler.insert(1.0, -1, _event_for(sim, killer), None, sim)
+    sim.scheduler.insert(1.0, -1, _event_for(sim, killer), None)
     sim.run()
     assert fired == ["killer"]
 
@@ -149,7 +137,7 @@ def test_mass_cancel_keeps_queue_bounded(scheduler_name):
     timestamp; the >50%-dead compaction bound keeps the backlog
     proportional to the live count instead.
     """
-    sim = Simulator(scheduler=scheduler_name)
+    sim = Simulator()
     events = [sim.schedule(10.0 + i * 0.001, lambda: None) for i in range(10_000)]
     keep = set(events[::100])  # 100 survivors
     peak = 0
@@ -169,7 +157,7 @@ def test_mass_cancel_keeps_queue_bounded(scheduler_name):
 
 def test_rearm_churn_stays_bounded(scheduler_name):
     """RTO-style rearming (schedule+cancel per tick) must not accumulate."""
-    sim = Simulator(scheduler=scheduler_name)
+    sim = Simulator()
     state = {"timer": None, "ticks": 0}
 
     def tick():
@@ -192,7 +180,7 @@ def test_rearm_churn_stays_bounded(scheduler_name):
 
 
 def test_event_objects_are_recycled(scheduler_name):
-    sim = Simulator(scheduler=scheduler_name)
+    sim = Simulator()
     for _ in range(50):
         sim.schedule(0.001, lambda: None)
     sim.run()
@@ -220,7 +208,10 @@ def test_calendar_matches_reference(ops):
     """Any mix of schedule/post/cancel fires identically on both."""
 
     def run(name):
-        sim = Simulator(scheduler=name)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "DEFAULT_SCHEDULER", SCHEDULERS[name])
+            sim = Simulator()
+        assert type(sim.scheduler) is SCHEDULERS[name]
         fired = []
         cancellable = []
         for i, (delay, kind) in enumerate(ops):

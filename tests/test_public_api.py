@@ -95,3 +95,15 @@ def test_version_string():
 
     parts = repro.__version__.split(".")
     assert len(parts) == 3 and all(p.isdigit() for p in parts)
+
+
+def test_simnet_exports_one_engine():
+    """One simulator, one scheduler, one RNG: no engine switches exported."""
+    import repro.simnet
+
+    removed = {"EventLoop", "SessionContext", "ReferenceScheduler",
+               "SCHEDULERS", "make_scheduler", "RngBlockAllocator",
+               "resolve_rng_mode"}
+    assert not removed & set(repro.simnet.__all__)
+    assert {"Simulator", "CalendarScheduler", "BatchedRandom"} <= set(
+        repro.simnet.__all__)

@@ -2,15 +2,19 @@
 
 The calendar scheduler, the batched RNG, packet/event pooling and the
 incremental probes are throughput work only -- campaign records must stay
-*byte-identical* across scheduler implementations, RNG modes and worker
-counts, and the dataset cache key must not move (CACHE_VERSION stays 5:
-cached datasets from before the rework remain valid).
+*byte-identical* to a run on the reference oracles (the binary-heap
+scheduler, a plain ``random.Random``) and across worker counts, and the
+dataset cache key must not move (CACHE_VERSION stays 5: cached datasets
+from before the rework remain valid).
 """
 
 import pickle
+import random
 
 from repro.experiments.common import CACHE_VERSION, _config_key
+from repro.simnet import engine
 from repro.testbed.campaign import CampaignConfig, run_campaign
+from tests.oracles.scheduler import HeapScheduler
 
 
 def _tiny_config():
@@ -32,17 +36,15 @@ def _payload(records):
 
 
 def test_records_identical_across_schedulers(monkeypatch):
-    monkeypatch.setenv("REPRO_SIMNET_SCHEDULER", "calendar")
     calendar = _payload(run_campaign(_tiny_config(), workers=1))
-    monkeypatch.setenv("REPRO_SIMNET_SCHEDULER", "reference")
+    monkeypatch.setattr(engine, "DEFAULT_SCHEDULER", HeapScheduler)
     reference = _payload(run_campaign(_tiny_config(), workers=1))
     assert calendar == reference
 
 
 def test_records_identical_across_rng_modes(monkeypatch):
-    monkeypatch.setenv("REPRO_SIMNET_RNG", "batched")
     batched = _payload(run_campaign(_tiny_config(), workers=1))
-    monkeypatch.setenv("REPRO_SIMNET_RNG", "stdlib")
+    monkeypatch.setattr(engine, "DEFAULT_RANDOM", random.Random)
     stdlib = _payload(run_campaign(_tiny_config(), workers=1))
     assert batched == stdlib
 
