@@ -5,7 +5,11 @@ thread) and drives it closed-loop over keep-alive sockets from an
 asyncio load generator: N concurrent connections, each posting one
 ``repro-diagnose-request-v1`` record and waiting for its response.
 That shape is the worst case for the micro-batcher — every request is
-a single record, so the measured throughput is pure coalescing win.
+a single record, so any batching comes from the loop-turn rule alone:
+the requests of every connection the server's loop wakes in one turn
+share one ``diagnose_batch`` call.  The report gives records per batch
+and flushes by reason (turn / full / drain) for the 1-record and the
+64-record sweep, read from the server's batcher stats.
 
 Results land twice: ``benchmarks/reports/serve_throughput.txt`` for
 humans and ``BENCH_serve.json`` at the repo root for machines.  The run
@@ -50,6 +54,7 @@ class _ServerThread:
         self._started = threading.Event()
         self._stop: asyncio.Event
         self._loop: asyncio.AbstractEventLoop
+        self.server: DiagnosisServer
         self.port = 0
         self._thread = threading.Thread(
             target=lambda: asyncio.run(self._amain()), daemon=True
@@ -57,13 +62,13 @@ class _ServerThread:
 
     async def _amain(self) -> None:
         self._loop = asyncio.get_running_loop()
-        server = DiagnosisServer(self._registry, self._config)
-        await server.start()
-        self.port = server.port
+        self.server = DiagnosisServer(self._registry, self._config)
+        await self.server.start()
+        self.port = self.server.port
         self._stop = asyncio.Event()
         self._started.set()
         await self._stop.wait()
-        await server.drain()
+        await self.server.drain()
 
     def __enter__(self) -> "_ServerThread":
         self._thread.start()
@@ -124,6 +129,35 @@ async def _drive(port, request, connections, duration_s):
     return latencies, time.perf_counter() - start
 
 
+def _measure(server, request, connections, duration_s):
+    """One measured sweep: latencies, wall time, and how it was batched."""
+    before = dict(server.server.batcher.stats)
+    latencies, wall_s = asyncio.run(
+        _drive(server.port, request, connections, duration_s)
+    )
+    after = dict(server.server.batcher.stats)
+    delta = {key: after[key] - before[key] for key in after}
+    batching = {
+        "records_per_batch": (
+            round(delta["records"] / delta["batches"], 2)
+            if delta["batches"] else 0.0
+        ),
+        "batches": delta["batches"],
+        "flushes": {reason: delta[f"flush_{reason}"]
+                    for reason in ("turn", "full", "drain")},
+    }
+    return latencies, wall_s, batching
+
+
+def _batching_line(batching) -> str:
+    flushes = batching["flushes"]
+    return (
+        f"{batching['records_per_batch']:.2f} records/batch over "
+        f"{batching['batches']} batches; flushes turn {flushes['turn']}, "
+        f"full {flushes['full']}, drain {flushes['drain']}"
+    )
+
+
 def _percentile(sorted_values, q: float) -> float:
     index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
     return sorted_values[index]
@@ -150,16 +184,16 @@ def test_serve_throughput(report):
     bulk_request = _request_bytes(
         (records * (sweep_records // len(records) + 1))[:sweep_records]
     )
-    config = ServeConfig(port=0, max_batch=64, max_wait_ms=2.0)
+    config = ServeConfig(port=0, max_batch=64)
 
     with _ServerThread(analyzer, config) as server:
         asyncio.run(_drive(server.port, request, connections, WARMUP_S))
-        latencies, wall_s = asyncio.run(
-            _drive(server.port, request, connections, duration_s)
+        latencies, wall_s, batching = _measure(
+            server, request, connections, duration_s
         )
         asyncio.run(_drive(server.port, bulk_request, connections, WARMUP_S))
-        bulk_latencies, bulk_wall_s = asyncio.run(
-            _drive(server.port, bulk_request, connections, duration_s)
+        bulk_latencies, bulk_wall_s, bulk_batching = _measure(
+            server, bulk_request, connections, duration_s
         )
 
     assert latencies, "load generator completed no requests"
@@ -183,14 +217,15 @@ def test_serve_throughput(report):
         "duration_s": round(wall_s, 3),
         "connections": connections,
         "max_batch": config.max_batch,
-        "max_wait_ms": config.max_wait_ms,
         "records_per_request": 1,
+        "batching": batching,
         "sweep_64": {
             "records_per_request": sweep_records,
             "rps": round(bulk_rps, 1),
             "rows_per_s": round(bulk_rows_per_s, 1),
             "p99_ms": round(bulk_p99_ms, 3),
             "requests": len(bulk_latencies),
+            "batching": bulk_batching,
         },
         "python": platform.python_version(),
     }
@@ -202,10 +237,11 @@ def test_serve_throughput(report):
         f"({len(latencies)} requests over {wall_s:.2f}s, "
         f"{connections} connections)",
         f"  latency      p50 {p50_ms:6.2f} ms   p99 {p99_ms:6.2f} ms",
-        f"  batching     batch<={config.max_batch}, "
-        f"wait<={config.max_wait_ms}ms",
+        f"  batching     batch<={config.max_batch}, one loop turn: "
+        + _batching_line(batching),
         f"  bulk (64/req) {bulk_rps:7.0f} req/s = {bulk_rows_per_s:,.0f} "
         f"rows/s   p99 {bulk_p99_ms:6.2f} ms   (informational)",
+        "  bulk batching " + _batching_line(bulk_batching),
         f"  floor        {rps_min:.0f} req/s, p99<={p99_max_ms:.0f}ms "
         "(1 record/request)",
     ]

@@ -5,10 +5,11 @@ upload session records, the operator gets root-cause diagnoses back in
 milliseconds, fleet-wide.  This package is that service, on the stdlib
 only:
 
-* :class:`~repro.serve.batcher.MicroBatcher` — coalesces concurrent
-  requests onto one vectorized ``diagnose_batch`` call per window
-  (``max_batch`` / ``max_wait_ms`` knobs), with per-request error
-  isolation and bit-identical results;
+* :class:`~repro.serve.batcher.MicroBatcher` — coalesces the requests
+  the event loop wakes in one turn onto one vectorized
+  ``diagnose_batch`` call (at most ``max_batch`` records; no timer, so
+  a lone request waits for nothing), with per-request error isolation
+  and bit-identical results;
 * :class:`~repro.serve.registry.ModelRegistry` — versioned analyzer
   exports with atomic hot swap;
 * :class:`~repro.serve.http.DiagnosisServer` — the asyncio HTTP front

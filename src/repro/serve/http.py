@@ -5,7 +5,9 @@ speaks enough HTTP/1.1 (keep-alive, Content-Length bodies) to serve the
 ``repro.api`` wire schema at production rates, with every request
 funnelled through the :class:`~repro.serve.batcher.MicroBatcher` onto
 the vectorized ``diagnose_batch`` path of whatever model the
-:class:`~repro.serve.registry.ModelRegistry` has active.
+:class:`~repro.serve.registry.ModelRegistry` has active.  Requests the
+loop wakes in the same turn share one batch, so a lightly loaded server
+answers without any batching wait.
 
 Endpoints
 ---------
@@ -25,6 +27,12 @@ Endpoints
 ``POST /v1/models/activate``
     Body ``{"version": "v7"}``: hot-swap the active model between
     batches (a flush never straddles a swap — both run on the loop).
+
+A request that cannot be framed gets one error answer and then the
+connection closes, because the rest of its byte stream cannot be
+trusted: a malformed request line or a ``Content-Length`` that is not a
+non-negative integer is 400, a request or header line longer than
+``MAX_LINE_BYTES`` is 431, and a body over ``MAX_BODY_BYTES`` is 413.
 
 Shutdown is *graceful drain*: SIGTERM (or SIGINT) stops the listener,
 turns ``/readyz`` red, flushes the batcher, lets in-flight requests
@@ -59,6 +67,8 @@ ERROR_SCHEMA = SERVE_ERROR_V1
 
 #: refuse request bodies larger than this (a fleet record is ~2 KB)
 MAX_BODY_BYTES = 32 * 1024 * 1024
+#: longest request or header line (the StreamReader limit, asyncio's default)
+MAX_LINE_BYTES = 64 * 1024
 
 _REASONS = {
     200: "OK",
@@ -66,13 +76,19 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
 
 
 class _HttpError(Exception):
-    """Terminate one request with a status + message (connection lives on)."""
+    """Terminate one request with a status + message.
+
+    Raised while routing, the connection lives on; raised while framing
+    (:meth:`DiagnosisServer._read_request`), the request is answered once
+    and the connection closes.
+    """
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
@@ -87,7 +103,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8080  # 0 picks an ephemeral port (see DiagnosisServer.port)
     max_batch: int = 64
-    max_wait_ms: float = 2.0
     drain_grace_s: float = 5.0
 
 
@@ -100,9 +115,7 @@ class DiagnosisServer:
         self.registry = registry
         self.config = config or ServeConfig()
         self.batcher: MicroBatcher = MicroBatcher(
-            self._score_batch,
-            max_batch=self.config.max_batch,
-            max_wait_ms=self.config.max_wait_ms,
+            self._score_batch, max_batch=self.config.max_batch
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._handlers: "Set[asyncio.Task[None]]" = set()
@@ -127,7 +140,8 @@ class DiagnosisServer:
     async def start(self) -> None:
         """Bind and start accepting connections (does not block)."""
         self._server = await asyncio.start_server(
-            self._serve_connection, self.config.host, self.config.port
+            self._serve_connection, self.config.host, self.config.port,
+            limit=MAX_LINE_BYTES,
         )
 
     async def drain(self) -> None:
@@ -135,9 +149,9 @@ class DiagnosisServer:
 
         Ordering matters: readiness goes red first (load balancers stop
         routing), the listener closes (no new connections), the batcher
-        flushes (queued windows score now), in-flight requests get
-        ``drain_grace_s`` to complete, and only then are surviving
-        keep-alive connections closed.
+        flushes (requests still waiting for their turn score now),
+        in-flight requests get ``drain_grace_s`` to complete, and only
+        then are surviving keep-alive connections closed.
         """
         self._draining = True
         if self._server is not None:
@@ -293,7 +307,11 @@ class DiagnosisServer:
         self._writers.add(writer)
         try:
             while True:
-                parsed = await self._read_request(reader, writer)
+                try:
+                    parsed = await self._read_request(reader)
+                except _HttpError as exc:
+                    await self._refuse(writer, exc)
+                    break
                 if parsed is None:
                     break
                 method, path, body = parsed
@@ -326,50 +344,67 @@ class DiagnosisServer:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, bytes]]:
-        """One HTTP/1.1 request off the wire, or None at end of connection."""
+        """One HTTP/1.1 request off the wire, or None at end of connection.
+
+        Raises :class:`_HttpError` for a request that cannot be framed.
+        """
         try:
-            request_line = await reader.readline()
+            request_line = await self._read_line(reader)
         except (ConnectionError, asyncio.IncompleteReadError):
             return None
         if not request_line or not request_line.strip():
             return None
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
-            self._write_response(
-                writer, 400,
-                {"schema": ERROR_SCHEMA, "error": "malformed request line"},
-            )
-            await writer.drain()
-            return None
+            raise _HttpError(400, "malformed request line")
         method, target, _version = parts
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await self._read_line(reader)
             if not line or line in (b"\r\n", b"\n"):
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0")
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _HttpError(400, "Content-Length must be a non-negative integer")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
-            self._write_response(
-                writer, 413,
-                {"schema": ERROR_SCHEMA,
-                 "error": f"body exceeds {MAX_BODY_BYTES} bytes"},
-            )
-            await writer.drain()
-            return None
+            raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
         path = target.split("?", 1)[0]
         return method.upper(), path, body
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError as exc:  # how readline reports a LimitOverrunError
+            raise _HttpError(
+                431, f"request or header line exceeds {MAX_LINE_BYTES} bytes"
+            ) from exc
+
+    async def _refuse(self, writer: asyncio.StreamWriter, exc: _HttpError) -> None:
+        """Answer a request that could not be framed; the caller closes."""
+        t0 = time.perf_counter()
+        try:
+            self._write_response(
+                writer, exc.status,
+                {"schema": ERROR_SCHEMA, "error": exc.message}, close=True,
+            )
+            await writer.drain()
+        finally:
+            self._observe("-", "-", exc.status, time.perf_counter() - t0)
+
     def _write_response(
-        self, writer: asyncio.StreamWriter, status: int, payload: Dict[str, object]
+        self, writer: asyncio.StreamWriter, status: int,
+        payload: Dict[str, object], close: bool = False,
     ) -> None:
         body = canonical_json(payload).encode("utf-8")
         reason = _REASONS.get(status, "Unknown")
-        connection = "close" if self._draining else "keep-alive"
+        connection = "close" if close or self._draining else "keep-alive"
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: application/json\r\n"

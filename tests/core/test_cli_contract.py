@@ -58,8 +58,9 @@ def test_help_exits_zero(command, capsys):
     ["diagnose", "--batch"],
     ["campaign", "--out", "x.pkl", "--sessions-per-proc", "4"],
     ["stream", "--sessions-per-proc", "4"],
+    ["serve", "--max-wait-ms", "2"],
 ], ids=["diagnose-batch", "campaign-sessions-per-proc",
-        "stream-sessions-per-proc"])
+        "stream-sessions-per-proc", "serve-max-wait-ms"])
 def test_removed_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err

@@ -8,10 +8,15 @@ as canonical JSON, to offline ``diagnose_batch`` on the same records.
 
 from __future__ import annotations
 
+import json
+import socket
+
 import pytest
 
 from repro.api import REQUEST_SCHEMA, RESPONSE_SCHEMA, canonical_json
+from repro.obs.telemetry import tracing
 from repro.pipeline.records import record_to_dict
+from repro.schemas import SERVE_ERROR_V1
 from repro.serve import ModelRegistry, ServeConfig
 from tests.serve.conftest import ServeHandle
 
@@ -156,3 +161,46 @@ def test_graceful_drain_stops_serving(server, mini_campaign_records):
     server.stop()  # requests drain, listener closes, loop exits cleanly
     with pytest.raises(OSError):
         server.request("GET", "/healthz")
+
+
+def raw_exchange(port, data):
+    """Send raw bytes; read until the server closes; returns all it sent."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+OVERLONG = b"a" * (80 * 1024)  # past the 64 KiB StreamReader line limit
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"POST /v1/diagnose HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}", 400),
+    (b"POST /v1/diagnose HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}", 400),
+    (b"POST /v1/diagnose HTTP/1.1\r\nContent-Length: 1.5\r\n\r\n{}", 400),
+    (b"GET /healthz HTTP/1.1\r\nX-Big: " + OVERLONG + b"\r\n\r\n", 431),
+    (b"GET /" + OVERLONG + b" HTTP/1.1\r\n\r\n", 431),
+    (b"GET /healthz\r\n\r\n", 400),
+], ids=["length-not-integer", "length-negative", "length-fraction",
+        "header-line-too-long", "request-line-too-long", "bad-request-line"])
+def test_unframeable_request_answered_once_then_closed(
+        server, request_bytes, status):
+    with tracing() as tel:
+        reply = raw_exchange(server.port, request_bytes)
+        counters = dict(tel.counters)
+    tel.reset()
+    head, _sep, body = reply.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    assert status_line.startswith(f"HTTP/1.1 {status} ")
+    assert "Connection: close" in header_lines
+    payload = json.loads(body)  # exactly one response, then EOF
+    assert payload["schema"] == SERVE_ERROR_V1
+    assert payload["error"]
+    assert counters.get(f"serve.status.{status}") == 1
+    assert counters.get("serve.requests") == 1
+    # the server survives: a fresh connection is answered normally
+    assert server.request("GET", "/healthz")[0] == 200
