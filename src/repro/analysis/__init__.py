@@ -17,9 +17,9 @@ on:
 * wire schema (W7xx) — every ``repro-*-vN`` tag lives in the central
   registry and both of its sides exist.
 
-Since Lint v2, per-file analysis is parallel and cached by content hash
-(:mod:`repro.analysis.project_model`); sequential, parallel and
-warm-cache runs produce bit-identical findings.
+Lint is one sequential pass that parses each file exactly once: the
+runner's :func:`~repro.analysis.runner.analyze_file` hands that one
+tree to every per-file pass, so each pass takes ``(path, source, tree)``.
 
 Library use::
 
@@ -34,21 +34,15 @@ from repro.analysis.determinism import check_determinism
 from repro.analysis.findings import Finding, RULES, Rule, rule_catalog
 from repro.analysis.lifecycle import VALID_VANTAGE_POINTS, check_lifecycle
 from repro.analysis.pipeline_schema import check_pipeline_stages
-from repro.analysis.project_model import (
-    ENGINE_VERSION,
-    FileFacts,
-    ModelCache,
-    analyze_file,
-    build_project_model,
-)
 from repro.analysis.runner import (
+    FileFacts,
     LintResult,
+    analyze_file,
     lint_paths,
     render_text,
     rule_table,
 )
 from repro.analysis.sarif import to_sarif, write_sarif
-from repro.analysis.schema import check_schema
 from repro.analysis.suppressions import (
     Suppression,
     parse_suppression_comments,
@@ -57,22 +51,18 @@ from repro.analysis.suppressions import (
 from repro.analysis.wire_schema import check_wire_schema, extract_wire_facts
 
 __all__ = [
-    "ENGINE_VERSION",
     "FileFacts",
     "Finding",
     "LintResult",
-    "ModelCache",
     "RULES",
     "Rule",
     "Suppression",
     "VALID_VANTAGE_POINTS",
     "analyze_file",
-    "build_project_model",
     "check_async_discipline",
     "check_determinism",
     "check_lifecycle",
     "check_pipeline_stages",
-    "check_schema",
     "check_wire_schema",
     "extract_wire_facts",
     "lint_paths",

@@ -143,6 +143,8 @@ class _ModuleIndex:
         self.class_mutables: Dict[str, Set[str]] = {}
         #: import aliases: local name -> canonical dotted module
         self.aliases: Dict[str, str] = {}
+        #: whether any ``async def`` appears, at any depth
+        self.has_coroutines = False
 
         for node in tree.body:
             if isinstance(node, ast.AsyncFunctionDef):
@@ -167,6 +169,8 @@ class _ModuleIndex:
                 for alias in node.names:
                     local = alias.asname or alias.name
                     self.aliases.setdefault(local, f"{module}.{alias.name}")
+            elif isinstance(node, ast.AsyncFunctionDef):
+                self.has_coroutines = True
 
     #: every async method name anywhere in the module (for self.<m> calls,
     #: where the defining class is not statically known)
@@ -358,12 +362,14 @@ class AsyncDisciplineVisitor(ast.NodeVisitor):
 
     def run(self, tree: ast.Module) -> List[Finding]:
         self.index = _ModuleIndex(tree)
-        self.visit(tree)
+        if self.index.has_coroutines:  # every A6xx rule is coroutine-local
+            self.visit(tree)
         return self.findings
 
 
-def check_async_discipline(path: str, source: str) -> List[Finding]:
-    """All A6xx findings for one module's source text."""
-    tree = ast.parse(source, filename=path)
+def check_async_discipline(
+    path: str, source: str, tree: ast.Module
+) -> List[Finding]:
+    """All A6xx findings for one module's parsed source."""
     visitor = AsyncDisciplineVisitor(path, source.splitlines())
     return visitor.run(tree)

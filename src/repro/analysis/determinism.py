@@ -360,8 +360,9 @@ def _path_parts(path: str) -> Tuple[str, ...]:
     return tuple(path.replace("\\", "/").split("/"))
 
 
-def check_determinism(path: str, source: str) -> List[Finding]:
-    """All D1xx findings for one module's source text."""
-    tree = ast.parse(source, filename=path)
+def check_determinism(
+    path: str, source: str, tree: ast.Module
+) -> List[Finding]:
+    """All D1xx findings for one module's parsed source."""
     visitor = DeterminismVisitor(path, source.splitlines())
     return visitor.run(tree)

@@ -121,9 +121,8 @@ def _check_vantage_scope(node: ast.ClassDef) -> Optional[str]:
     return None
 
 
-def check_lifecycle(path: str, source: str) -> List[Finding]:
+def check_lifecycle(path: str, source: str, tree: ast.Module) -> List[Finding]:
     """All F3xx findings for one faults module."""
-    tree = ast.parse(source, filename=path)
     lines = source.splitlines()
     findings: List[Finding] = []
 

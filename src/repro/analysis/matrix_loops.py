@@ -140,9 +140,10 @@ class _MatrixLoopVisitor(ast.NodeVisitor):
         )
 
 
-def check_matrix_loops(path: str, source: str) -> List[Finding]:
-    """All M203 findings for one module's source text."""
-    tree = ast.parse(source, filename=path)
+def check_matrix_loops(
+    path: str, source: str, tree: ast.Module
+) -> List[Finding]:
+    """All M203 findings for one module's parsed source."""
     visitor = _MatrixLoopVisitor(path, source.splitlines())
     visitor.visit(tree)
     return visitor.findings

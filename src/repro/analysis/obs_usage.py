@@ -20,7 +20,7 @@ and needs no closing — that is the sanctioned escape hatch.
 from __future__ import annotations
 
 import ast
-from typing import List, Set
+from typing import List, Set, Tuple
 
 from repro.analysis.findings import Finding
 
@@ -31,37 +31,32 @@ SPAN_METHOD = "span"
 MANUAL_LIFECYCLE = ("start", "finish")
 
 
-def _with_context_calls(tree: ast.AST) -> Set[int]:
-    """ids of Call nodes used directly as a ``with`` context expression."""
+def _with_items(tree: ast.AST) -> Tuple[Set[int], Set[str]]:
+    """One walk over every ``with`` item, returning two sets.
+
+    * ids of Call nodes used directly as a ``with`` context expression;
+    * names bound by ``with <expr>.span(...) as <name>``.
+    """
     contexts: Set[int] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if isinstance(item.context_expr, ast.Call):
-                    contexts.add(id(item.context_expr))
-    return contexts
-
-
-def _span_aliases(tree: ast.AST) -> Set[str]:
-    """Names bound by ``with <expr>.span(...) as <name>``."""
     aliases: Set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.With, ast.AsyncWith)):
             for item in node.items:
                 expr = item.context_expr
+                if not isinstance(expr, ast.Call):
+                    continue
+                contexts.add(id(expr))
                 if (
-                    isinstance(expr, ast.Call)
-                    and isinstance(expr.func, ast.Attribute)
+                    isinstance(expr.func, ast.Attribute)
                     and expr.func.attr == SPAN_METHOD
                     and isinstance(item.optional_vars, ast.Name)
                 ):
                     aliases.add(item.optional_vars.id)
-    return aliases
+    return contexts, aliases
 
 
-def check_obs_usage(path: str, source: str) -> List[Finding]:
+def check_obs_usage(path: str, source: str, tree: ast.Module) -> List[Finding]:
     """All O501 findings for one module."""
-    tree = ast.parse(source, filename=path)
     lines = source.splitlines()
     findings: List[Finding] = []
 
@@ -78,8 +73,7 @@ def check_obs_usage(path: str, source: str) -> List[Finding]:
             )
         )
 
-    contexts = _with_context_calls(tree)
-    aliases = _span_aliases(tree)
+    contexts, aliases = _with_items(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue

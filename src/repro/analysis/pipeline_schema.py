@@ -70,7 +70,7 @@ def _field_name_problem(name: str) -> Optional[str]:
     return None
 
 
-def _check_schema_attr(node: ast.ClassDef, attr: str) -> Optional[str]:
+def _schema_attr_problem(node: ast.ClassDef, attr: str) -> Optional[str]:
     """None when the declaration is well-formed, else a message."""
     assign = _class_attr(node, attr)
     if assign is None:
@@ -94,9 +94,10 @@ def _check_schema_attr(node: ast.ClassDef, attr: str) -> Optional[str]:
     return None
 
 
-def check_pipeline_stages(path: str, source: str) -> List[Finding]:
+def check_pipeline_stages(
+    path: str, source: str, tree: ast.Module
+) -> List[Finding]:
     """All P401 findings for one pipeline module."""
-    tree = ast.parse(source, filename=path)
     lines = source.splitlines()
     findings: List[Finding] = []
 
@@ -122,7 +123,7 @@ def check_pipeline_stages(path: str, source: str) -> List[Finding]:
         if stage_name is None:
             continue
         for attr in SCHEMA_ATTRS:
-            problem = _check_schema_attr(node, attr)
+            problem = _schema_attr_problem(node, attr)
             if problem is not None:
                 add(node, f"stage {stage_name!r}: {problem}")
     return findings

@@ -79,9 +79,10 @@ def _iter_dict_keys(node: ast.Dict) -> Iterable[ast.Constant]:
             yield key
 
 
-def extract_produced(path: str, source: str) -> List[MetricRef]:
+def extract_produced(
+    path: str, source: str, tree: ast.Module
+) -> List[MetricRef]:
     """Metric names emitted by one probe module."""
-    tree = ast.parse(source, filename=path)
     lines = source.splitlines()
     refs: List[MetricRef] = []
 
@@ -112,9 +113,10 @@ def extract_produced(path: str, source: str) -> List[MetricRef]:
     return refs
 
 
-def extract_consumed(path: str, source: str) -> List[MetricRef]:
+def extract_consumed(
+    path: str, source: str, tree: ast.Module
+) -> List[MetricRef]:
     """Metric names referenced by one consumer module."""
-    tree = ast.parse(source, filename=path)
     lines = source.splitlines()
     refs: List[MetricRef] = []
 
@@ -196,31 +198,13 @@ def is_consumed(name: str, consumed: Set[str]) -> bool:
     )
 
 
-def check_schema(
-    producer_sources: Dict[str, str], consumer_sources: Dict[str, str]
-) -> Tuple[List[Finding], Dict[str, Set[str]]]:
-    """Run the schema pass over {rel_path: source} maps.
-
-    Returns ``(findings, namespace)`` where ``namespace`` exposes the
-    extracted ``produced`` / ``consumed`` name sets for reporting.
-    """
-    produced_refs: List[MetricRef] = []
-    for path, source in sorted(producer_sources.items()):
-        produced_refs.extend(extract_produced(path, source))
-    consumed_refs: List[MetricRef] = []
-    for path, source in sorted(consumer_sources.items()):
-        consumed_refs.extend(extract_consumed(path, source))
-    return match_metric_refs(produced_refs, consumed_refs)
-
-
 def match_metric_refs(
     produced_refs: List[MetricRef], consumed_refs: List[MetricRef]
 ) -> Tuple[List[Finding], Dict[str, Set[str]]]:
-    """The global half of the pass: match pre-extracted refs.
+    """The global half of the pass: match the per-file extracted refs.
 
-    Split out from :func:`check_schema` so the incremental driver can
-    feed it per-file refs recovered from the project-model cache without
-    re-reading or re-parsing unchanged files.
+    Returns ``(findings, namespace)`` where ``namespace`` exposes the
+    ``produced`` / ``consumed`` name sets for reporting.
     """
     produced_names = {ref.name for ref in produced_refs}
     consumed_names = {ref.name for ref in consumed_refs}

@@ -77,6 +77,8 @@ def _comment_tokens(source: str) -> List[tokenize.TokenInfo]:
 def parse_suppression_comments(source: str) -> List[Suppression]:
     """All allow comments in a source text, with their target lines."""
     suppressions: List[Suppression] = []
+    if _SUPPRESS_RE.search(source) is None:
+        return suppressions  # no allow text at all: skip tokenizing
     for token in _comment_tokens(source):
         match = _SUPPRESS_RE.search(token.string)
         if match is None:

@@ -18,7 +18,7 @@ registry honest in both directions:
   ``repro-<cmd>-v1`` tag is not registered.
 
 The pass is split the same way the metric-schema pass is: *extraction*
-(:func:`extract_wire_facts`) is per-file and cacheable, *resolution*
+(:func:`extract_wire_facts`) is per-file, *resolution*
 (:func:`check_wire_schema`) is global and cheap.  The registry itself is
 recovered statically from the AST of the linted tree's own ``schemas.py``
 — the pass never imports the module under analysis, so synthetic test
@@ -183,16 +183,16 @@ def _extract_registry(facts: WireFacts, tree: ast.Module,
         )
 
 
-def extract_wire_facts(rel_path: str, source: str,
-                       shown: Optional[str] = None) -> WireFacts:
-    """Per-file W7xx facts (pure function of the source — cacheable).
+def extract_wire_facts(
+    rel_path: str, source: str, tree: ast.Module, shown: Optional[str] = None
+) -> WireFacts:
+    """Per-file W7xx facts (``tree`` is ``source`` parsed).
 
     ``rel_path`` is the package-relative identity used for registry
     matching; ``shown`` (default: ``rel_path``) is the display path that
     findings anchor to.
     """
     shown = rel_path if shown is None else shown
-    tree = ast.parse(source, filename=shown)
     lines = source.splitlines()
     facts = WireFacts(rel=rel_path)
 

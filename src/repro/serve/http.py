@@ -32,7 +32,8 @@ A request that cannot be framed gets one error answer and then the
 connection closes, because the rest of its byte stream cannot be
 trusted: a malformed request line or a ``Content-Length`` that is not a
 non-negative integer is 400, a request or header line longer than
-``MAX_LINE_BYTES`` is 431, and a body over ``MAX_BODY_BYTES`` is 413.
+``MAX_LINE_BYTES`` or more than ``MAX_HEADERS`` header lines is 431, and
+a body over ``MAX_BODY_BYTES`` is 413.
 
 Shutdown is *graceful drain*: SIGTERM (or SIGINT) stops the listener,
 turns ``/readyz`` red, flushes the batcher, lets in-flight requests
@@ -69,6 +70,8 @@ ERROR_SCHEMA = SERVE_ERROR_V1
 MAX_BODY_BYTES = 32 * 1024 * 1024
 #: longest request or header line (the StreamReader limit, asyncio's default)
 MAX_LINE_BYTES = 64 * 1024
+#: most header lines one request may carry (bounds per-connection memory)
+MAX_HEADERS = 100
 
 _REASONS = {
     200: "OK",
@@ -361,10 +364,14 @@ class DiagnosisServer:
             raise _HttpError(400, "malformed request line")
         method, target, _version = parts
         headers: Dict[str, str] = {}
+        lines = 0
         while True:
             line = await self._read_line(reader)
             if not line or line in (b"\r\n", b"\n"):
                 break
+            lines += 1
+            if lines > MAX_HEADERS:
+                raise _HttpError(431, f"more than {MAX_HEADERS} header lines")
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         raw_length = headers.get("content-length", "0")

@@ -1,5 +1,7 @@
-"""Shared fixtures: one lint run over the real source tree."""
+"""Shared fixtures: one lint run over the real source tree, and a helper
+that drives a single per-file pass the way the runner does."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -17,3 +19,12 @@ def repo_lint_result():
         root=REPO_ROOT,
         baseline_path=REPO_ROOT / "lint-baseline.json",
     )
+
+
+def run_pass(check, path, source, **kwargs):
+    """Call one per-file pass over a single parse of ``source``.
+
+    Every pass takes the tree as a required argument, exactly as
+    ``analyze_file`` hands it over.
+    """
+    return check(path, source, ast.parse(source, filename=path), **kwargs)

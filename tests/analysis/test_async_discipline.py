@@ -6,11 +6,12 @@ import pytest
 
 from repro.analysis import check_async_discipline
 
+from .conftest import run_pass
+
 
 def rules_for(source: str):
-    return sorted(
-        f.rule for f in check_async_discipline("mod.py", textwrap.dedent(source))
-    )
+    findings = run_pass(check_async_discipline, "mod.py", textwrap.dedent(source))
+    return sorted(f.rule for f in findings)
 
 
 class TestA601Blocking:
@@ -296,9 +297,8 @@ class TestServeDogfood:
             "        time.sleep(1)",
             1,
         )
-        assert "A601" in {
-            f.rule for f in check_async_discipline("serve/http.py", seeded)
-        }
+        findings = run_pass(check_async_discipline, "serve/http.py", seeded)
+        assert "A601" in {f.rule for f in findings}
 
 
 class TestSeverities:

@@ -4,9 +4,11 @@ import textwrap
 
 from repro.analysis.determinism import check_determinism
 
+from .conftest import run_pass
+
 
 def rules_of(source):
-    findings = check_determinism("simnet/mod.py", textwrap.dedent(source))
+    findings = run_pass(check_determinism, "simnet/mod.py", textwrap.dedent(source))
     return [f.rule for f in findings]
 
 
@@ -203,7 +205,8 @@ class TestSetIteration:
 
 class TestFindingShape:
     def test_location_and_rule_id_present(self):
-        findings = check_determinism(
+        findings = run_pass(
+            check_determinism,
             "simnet/engine.py",
             "import time\nt0 = time.time()\n",
         )
@@ -295,9 +298,10 @@ class TestSessionIsolation:
         ) == []
 
     def test_only_applies_under_simnet(self):
-        findings = check_determinism("analysis/cache.py", "_cache = {}\n")
+        findings = run_pass(check_determinism, "analysis/cache.py", "_cache = {}\n")
         assert findings == []
-        findings = check_determinism(
+        findings = run_pass(
+            check_determinism,
             "src/repro/simnet/packet.py", "_pool = []\n"
         )
         assert [f.rule for f in findings] == ["D105"]

@@ -4,6 +4,8 @@ import textwrap
 
 from repro.analysis.lifecycle import check_lifecycle
 
+from .conftest import run_pass
+
 GOOD = textwrap.dedent(
     """
     from repro.faults.base import Fault
@@ -23,13 +25,17 @@ GOOD = textwrap.dedent(
 )
 
 
+def check(source, path="faults/m.py"):
+    return run_pass(check_lifecycle, path, source)
+
+
 def rules_of(source):
-    return [f.rule for f in check_lifecycle("faults/mod.py", textwrap.dedent(source))]
+    return [f.rule for f in check(textwrap.dedent(source), "faults/mod.py")]
 
 
 class TestLifecyclePairing:
     def test_well_formed_fault_is_clean(self):
-        assert check_lifecycle("faults/mod.py", GOOD) == []
+        assert check(GOOD, "faults/mod.py") == []
 
     def test_missing_clear_is_f301(self):
         source = """
@@ -83,21 +89,21 @@ class TestLifecyclePairing:
 class TestActiveProtocol:
     def test_apply_without_active_flag_is_f302(self):
         source = GOOD.replace("self.active = True", "pass")
-        assert "F302" in [f.rule for f in check_lifecycle("faults/m.py", source)]
+        assert "F302" in [f.rule for f in check(source)]
 
     def test_clear_without_reset_is_f302(self):
         source = GOOD.replace(
             "if not self.active:\n            return\n        self.active = False",
             "pass",
         )
-        assert "F302" in [f.rule for f in check_lifecycle("faults/m.py", source)]
+        assert "F302" in [f.rule for f in check(source)]
 
     def test_clear_without_guard_is_f302(self):
         source = GOOD.replace(
             "if not self.active:\n            return\n        self.active = False",
             "self.active = False",
         )
-        findings = check_lifecycle("faults/m.py", source)
+        findings = check(source)
         assert [f.rule for f in findings] == ["F302"]
         assert "guard" in findings[0].message
 
@@ -105,17 +111,17 @@ class TestActiveProtocol:
 class TestVantageScope:
     def test_missing_scope_is_f303(self):
         source = GOOD.replace('VANTAGE_SCOPE = ("mobile", "router")\n', "")
-        assert "F303" in [f.rule for f in check_lifecycle("faults/m.py", source)]
+        assert "F303" in [f.rule for f in check(source)]
 
     def test_unknown_vantage_point_is_f303(self):
         source = GOOD.replace('("mobile", "router")', '("mobile", "satellite")')
-        findings = check_lifecycle("faults/m.py", source)
+        findings = check(source)
         assert [f.rule for f in findings] == ["F303"]
         assert "satellite" in findings[0].message
 
     def test_empty_scope_is_f303(self):
         source = GOOD.replace('("mobile", "router")', "()")
-        assert "F303" in [f.rule for f in check_lifecycle("faults/m.py", source)]
+        assert "F303" in [f.rule for f in check(source)]
 
 
 class TestRealFaults:

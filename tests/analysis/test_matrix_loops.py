@@ -4,10 +4,12 @@ import textwrap
 
 from repro.analysis.matrix_loops import check_matrix_loops
 
+from .conftest import run_pass
+
 
 def rules_of(source):
     return [
-        f.rule for f in check_matrix_loops("mod.py", textwrap.dedent(source))
+        f.rule for f in run_pass(check_matrix_loops, "mod.py", textwrap.dedent(source))
     ]
 
 
@@ -109,7 +111,7 @@ class TestM203:
                     pass
             """
         )
-        (finding,) = check_matrix_loops("repro/ml/model.py", source)
+        (finding,) = run_pass(check_matrix_loops, "repro/ml/model.py", source)
         assert finding.path == "repro/ml/model.py"
         assert finding.line == 3
         assert finding.source == "for i in range(len(X)):"

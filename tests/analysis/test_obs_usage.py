@@ -5,12 +5,13 @@ import textwrap
 from repro.analysis import lint_paths
 from repro.analysis.obs_usage import check_obs_usage
 
+from .conftest import run_pass
 from .test_runner import write_tree
 
 
 def rules_of(source):
     return [
-        f.rule for f in check_obs_usage("mod.py", textwrap.dedent(source))
+        f.rule for f in run_pass(check_obs_usage, "mod.py", textwrap.dedent(source))
     ]
 
 

@@ -5,6 +5,7 @@ import textwrap
 from repro.analysis import lint_paths
 from repro.analysis.pipeline_schema import check_pipeline_stages
 
+from .conftest import run_pass
 from .test_runner import write_tree
 
 GOOD = textwrap.dedent(
@@ -23,15 +24,15 @@ GOOD = textwrap.dedent(
 
 
 def rules_of(source):
+    source = textwrap.dedent(source)
     return [
-        f.rule
-        for f in check_pipeline_stages("pipeline/mod.py", textwrap.dedent(source))
+        f.rule for f in run_pass(check_pipeline_stages, "pipeline/mod.py", source)
     ]
 
 
 class TestP401:
     def test_well_formed_stage_is_clean(self):
-        assert check_pipeline_stages("pipeline/mod.py", GOOD) == []
+        assert run_pass(check_pipeline_stages, "pipeline/mod.py", GOOD) == []
 
     def test_missing_consumes_flagged(self):
         source = """

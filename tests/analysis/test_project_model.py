@@ -1,17 +1,12 @@
-"""Lint v2 engine: equivalence across modes, cache behavior, invalidation."""
+"""The lint engine: one sequential pass that parses each file once."""
 
+import ast
+import collections
 import json
 import textwrap
 from pathlib import Path
 
-from repro.analysis import (
-    ENGINE_VERSION,
-    ModelCache,
-    analyze_file,
-    lint_paths,
-)
-from repro.analysis.project_model import CACHE_DIR_NAME, build_project_model
-from repro.cli import main
+from repro.analysis import analyze_file, lint_paths
 
 TREE = {
     "simnet/clock.py": """
@@ -80,28 +75,11 @@ def fingerprint(result):
 
 
 class TestEquivalence:
-    def test_sequential_parallel_and_cache_modes_bit_identical(self, tmp_path):
+    def test_two_runs_bit_identical(self, tmp_path):
         write_tree(tmp_path)
-        cache_dir = tmp_path / CACHE_DIR_NAME
-
-        sequential = lint_paths([tmp_path], root=tmp_path, jobs=1)
-        parallel = lint_paths([tmp_path], root=tmp_path, jobs=4)
-        cold = lint_paths(
-            [tmp_path], root=tmp_path, jobs=4, cache_dir=cache_dir
-        )
-        warm = lint_paths(
-            [tmp_path], root=tmp_path, jobs=1, cache_dir=cache_dir
-        )
-
-        expected = fingerprint(sequential)
-        assert fingerprint(parallel) == expected
-        assert fingerprint(cold) == expected
-        # warm reuses everything, which must not change a single byte of
-        # the findings (only the cache counters may differ)
-        assert warm.files_reused == len(TREE)
-        warm.files_reused = cold.files_reused
-        warm.files_analyzed = cold.files_analyzed
-        assert fingerprint(warm) == expected
+        first = lint_paths([tmp_path], root=tmp_path)
+        second = lint_paths([tmp_path], root=tmp_path)
+        assert fingerprint(first) == fingerprint(second)
 
     def test_expected_rules_found(self, tmp_path):
         write_tree(tmp_path)
@@ -110,148 +88,24 @@ class TestEquivalence:
         assert rules == ["A601", "A603", "D103", "M201", "M202", "W702"]
 
 
-class TestCache:
-    def test_warm_run_reuses_unchanged_files(self, tmp_path):
+class TestSingleParse:
+    def test_each_file_parsed_exactly_once(self, tmp_path, monkeypatch):
         write_tree(tmp_path)
-        cache_dir = tmp_path / CACHE_DIR_NAME
-        cold = lint_paths([tmp_path], root=tmp_path, cache_dir=cache_dir)
-        assert cold.files_analyzed == len(TREE)
-        assert cold.files_reused == 0
-        assert (cache_dir / "model.json").exists()
+        parses = collections.Counter()
+        real_parse = ast.parse
 
-        warm = lint_paths([tmp_path], root=tmp_path, cache_dir=cache_dir)
-        assert warm.files_reused == len(TREE)
-        assert warm.files_analyzed == 0
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parses[filename] += 1
+            return real_parse(source, filename, *args, **kwargs)
 
-    def test_changed_file_reanalyzed_others_reused(self, tmp_path):
-        write_tree(tmp_path)
-        cache_dir = tmp_path / CACHE_DIR_NAME
-        lint_paths([tmp_path], root=tmp_path, cache_dir=cache_dir)
-
-        target = tmp_path / "simnet" / "clock.py"
-        target.write_text(target.read_text() + "\nimport random\nr = random.random()\n")
-        second = lint_paths([tmp_path], root=tmp_path, cache_dir=cache_dir)
-        assert second.files_analyzed == 1
-        assert second.files_reused == len(TREE) - 1
-        assert "D101" in {f.rule for f in second.findings}
-
-    def test_cache_file_is_tagged_and_versioned(self, tmp_path):
-        write_tree(tmp_path)
-        cache_dir = tmp_path / CACHE_DIR_NAME
-        lint_paths([tmp_path], root=tmp_path, cache_dir=cache_dir)
-        payload = json.loads((cache_dir / "model.json").read_text())
-        assert payload["format"] == "repro-lint-cache-v1"
-        assert payload["engine"] == ENGINE_VERSION
-
-    def test_engine_version_change_invalidates_everything(self, tmp_path):
-        write_tree(tmp_path)
-        cache_dir = tmp_path / CACHE_DIR_NAME
-        lint_paths([tmp_path], root=tmp_path, cache_dir=cache_dir)
-
-        model = cache_dir / "model.json"
-        payload = json.loads(model.read_text())
-        payload["engine"] = "0:stale"
-        model.write_text(json.dumps(payload))
-
-        rerun = lint_paths([tmp_path], root=tmp_path, cache_dir=cache_dir)
-        assert rerun.files_reused == 0
-        assert rerun.files_analyzed == len(TREE)
-
-    def test_corrupt_cache_degrades_to_cold_run(self, tmp_path):
-        write_tree(tmp_path)
-        cache_dir = tmp_path / CACHE_DIR_NAME
-        cache_dir.mkdir()
-        (cache_dir / "model.json").write_text("{ not json")
-        result = lint_paths([tmp_path], root=tmp_path, cache_dir=cache_dir)
-        assert result.files_analyzed == len(TREE)
-
-    def test_cache_dir_not_linted(self, tmp_path):
-        write_tree(tmp_path)
-        cache_dir = tmp_path / CACHE_DIR_NAME
-        cache_dir.mkdir()
-        (cache_dir / "junk.py").write_text("import time\nt = time.time()\n")
-        result = lint_paths([tmp_path], root=tmp_path, cache_dir=cache_dir)
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        result = lint_paths([tmp_path], root=tmp_path)
         assert result.files_checked == len(TREE)
-
-    def test_library_default_writes_no_cache(self, tmp_path):
-        write_tree(tmp_path)
-        lint_paths([tmp_path], root=tmp_path)
-        assert not (tmp_path / CACHE_DIR_NAME).exists()
+        assert parses == collections.Counter({rel: 1 for rel in TREE})
 
 
 class TestFileFactsRoundTrip:
-    def test_facts_survive_serialization(self):
-        source = textwrap.dedent(
-            """
-            import time
-
-            CACHE = {}
-
-
-            async def handler(key):  # repro: allow[A601]
-                time.sleep(1)
-                CACHE[key] = 1
-            """
-        )
-        facts = analyze_file("serve/mod.py", "serve/mod.py", source)
-        from repro.analysis import FileFacts
-
-        clone = FileFacts.from_dict(
-            json.loads(json.dumps(facts.to_dict()))
-        )
-        assert clone.sha == facts.sha
-        assert [f.rule for f in clone.findings] == [
-            f.rule for f in facts.findings
-        ]
-        assert [s.to_dict() for s in clone.suppressions] == [
-            s.to_dict() for s in facts.suppressions
-        ]
-        assert clone.wire is not None and facts.wire is not None
-        assert clone.wire.rel == facts.wire.rel
-
     def test_syntax_error_recorded_not_raised(self):
         facts = analyze_file("bad.py", "bad.py", "def f(:\n")
         assert facts.parse_error is not None
         assert facts.findings == []
-
-
-class TestModelCacheStore:
-    def test_store_load_round_trip(self, tmp_path):
-        facts = analyze_file("m.py", "m.py", "x = 1\n")
-        cache = ModelCache(tmp_path / "c")
-        cache.store({"m.py": facts})
-        loaded = cache.load()
-        assert set(loaded) == {"m.py"}
-        assert loaded["m.py"].sha == facts.sha
-
-    def test_parallel_and_sequential_facts_identical(self, tmp_path):
-        write_tree(tmp_path)
-        items = []
-        for rel in sorted(TREE):
-            items.append((rel, rel, (tmp_path / rel).read_text()))
-        seq, _ = build_project_model(items, jobs=1)
-        par, _ = build_project_model(items, jobs=4)
-        assert [f.to_dict() for f in seq] == [f.to_dict() for f in par]
-
-
-class TestCliFlags:
-    def test_no_cache_flag(self, tmp_path, capsys, monkeypatch):
-        write_tree(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        main(["lint", str(tmp_path), "--no-cache"])
-        capsys.readouterr()
-        assert not (tmp_path / CACHE_DIR_NAME).exists()
-
-    def test_cli_default_populates_cache(self, tmp_path, capsys, monkeypatch):
-        write_tree(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        main(["lint", str(tmp_path)])
-        capsys.readouterr()
-        assert (tmp_path / CACHE_DIR_NAME / "model.json").exists()
-
-    def test_jobs_flag_accepted(self, tmp_path, capsys, monkeypatch):
-        write_tree(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        code = main(["lint", str(tmp_path), "--jobs", "2", "--no-cache"])
-        assert code == 1  # the tree has real findings
-        assert "D103" in capsys.readouterr().out

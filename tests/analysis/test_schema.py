@@ -3,11 +3,13 @@
 import textwrap
 
 from repro.analysis.schema import (
-    check_schema,
     extract_consumed,
     extract_produced,
     is_produced,
+    match_metric_refs,
 )
+
+from .conftest import run_pass
 
 PROBE = textwrap.dedent(
     """
@@ -38,18 +40,28 @@ CONSUMER = textwrap.dedent(
 )
 
 
+def check_pair(probe, consumer):
+    """The M2xx pass over one probe module and one consumer module."""
+    return match_metric_refs(
+        run_pass(extract_produced, "probes/p.py", probe),
+        run_pass(extract_consumed, "core/c.py", consumer),
+    )
+
+
 class TestExtraction:
     def test_produced_names_from_emission_methods_only(self):
-        names = {ref.name for ref in extract_produced("probes/p.py", PROBE)}
+        refs = run_pass(extract_produced, "probes/p.py", PROBE)
+        names = {ref.name for ref in refs}
         assert names == {"tx_rate", "data_pkts", "flow_duration"}
 
     def test_consumed_names_from_constants_and_fstrings(self):
-        names = {ref.name for ref in extract_consumed("core/c.py", CONSUMER)}
+        refs = run_pass(extract_consumed, "core/c.py", CONSUMER)
+        names = {ref.name for ref in refs}
         assert names == {"data_pkts", "tx_rate", "tcp_flow_duration"}
 
     def test_constructed_suffix_fragments_ignored(self):
         source = 'def f(name):\n    return f"{name}_norm" + f"{name}_util"\n'
-        assert extract_consumed("core/c.py", source) == []
+        assert run_pass(extract_consumed, "core/c.py", source) == []
 
 
 class TestMatching:
@@ -60,15 +72,13 @@ class TestMatching:
         assert not is_produced("tcp_flow_durations", produced)
 
     def test_clean_pair_has_no_m201(self):
-        findings, namespace = check_schema(
-            {"probes/p.py": PROBE}, {"core/c.py": CONSUMER}
-        )
+        findings, namespace = check_pair(PROBE, CONSUMER)
         assert [f for f in findings if f.rule == "M201"] == []
         assert namespace["produced"] == {"tx_rate", "data_pkts", "flow_duration"}
 
     def test_consumed_unproduced_is_error(self):
         bad = CONSUMER.replace('"data_pkts"', '"data_pktz"')
-        findings, _ = check_schema({"probes/p.py": PROBE}, {"core/c.py": bad})
+        findings, _ = check_pair(PROBE, bad)
         m201 = [f for f in findings if f.rule == "M201"]
         assert len(m201) == 1
         assert "data_pktz" in m201[0].message
@@ -79,7 +89,7 @@ class TestMatching:
     def test_produced_unconsumed_is_note(self):
         probe = PROBE.replace('"data_pkts": 2.0,',
                               '"data_pkts": 2.0,\n                "orphan_metric": 9.0,')
-        findings, _ = check_schema({"probes/p.py": probe}, {"core/c.py": CONSUMER})
+        findings, _ = check_pair(probe, CONSUMER)
         m202 = [f for f in findings if f.rule == "M202"]
         assert any("orphan_metric" in f.message for f in m202)
         assert all(f.severity == "note" for f in m202)

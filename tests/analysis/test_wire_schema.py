@@ -4,6 +4,8 @@ import textwrap
 
 from repro.analysis import check_wire_schema, extract_wire_facts
 
+from .conftest import run_pass
+
 _REGISTRY_TEMPLATE = textwrap.dedent(
     """
     EXTERNAL = "external:"
@@ -56,7 +58,7 @@ REGISTRY = make_registry()
 def facts_for(tree):
     """tree: {rel: source} -> extracted facts list."""
     return [
-        extract_wire_facts(rel, textwrap.dedent(source))
+        run_pass(extract_wire_facts, rel, textwrap.dedent(source))
         for rel, source in sorted(tree.items())
     ]
 
@@ -83,7 +85,7 @@ CLEAN_READER = """
 
 class TestRegistryExtraction:
     def test_constants_and_entries_recovered(self):
-        facts = extract_wire_facts("schemas.py", REGISTRY)
+        facts = run_pass(extract_wire_facts, "schemas.py", REGISTRY)
         assert facts.registry_constants == {
             "RECORD_V1": "repro-record-v1",
             "TRACE_V1": "repro-trace-v1",
@@ -97,7 +99,7 @@ class TestRegistryExtraction:
         assert record.consumers == ("reader.py", "external:tests")
 
     def test_registry_module_emits_no_literal_findings(self):
-        facts = extract_wire_facts("schemas.py", REGISTRY)
+        facts = run_pass(extract_wire_facts, "schemas.py", REGISTRY)
         assert facts.tag_literals == []
 
 
@@ -215,19 +217,20 @@ class TestW703Envelopes:
                 "        ),"
             ),
         )
-        facts = extract_wire_facts("schemas.py", registry)
+        facts = run_pass(extract_wire_facts, "schemas.py", registry)
         assert "repro-status-v1" in {e.tag for e in facts.registry_entries}
         findings = check_wire_schema([
             facts,
-            extract_wire_facts(
+            run_pass(
+                extract_wire_facts,
                 "cli.py",
                 "def _print_envelope(command, data):\n"
                 "    pass\n"
                 "def main():\n"
                 '    _print_envelope("status", {})\n',
             ),
-            extract_wire_facts("writer.py", textwrap.dedent(CLEAN_WRITER)),
-            extract_wire_facts("reader.py", textwrap.dedent(CLEAN_READER)),
+            run_pass(extract_wire_facts, "writer.py", textwrap.dedent(CLEAN_WRITER)),
+            run_pass(extract_wire_facts, "reader.py", textwrap.dedent(CLEAN_READER)),
         ])
         assert [f.rule for f in findings] == []
 

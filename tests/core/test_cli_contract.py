@@ -59,8 +59,12 @@ def test_help_exits_zero(command, capsys):
     ["campaign", "--out", "x.pkl", "--sessions-per-proc", "4"],
     ["stream", "--sessions-per-proc", "4"],
     ["serve", "--max-wait-ms", "2"],
+    ["lint", "--jobs", "2"],
+    ["lint", "--no-cache"],
+    ["lint", "--cache-dir", "d"],
 ], ids=["diagnose-batch", "campaign-sessions-per-proc",
-        "stream-sessions-per-proc", "serve-max-wait-ms"])
+        "stream-sessions-per-proc", "serve-max-wait-ms",
+        "lint-jobs", "lint-no-cache", "lint-cache-dir"])
 def test_removed_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from repro.obs.telemetry import tracing
 from repro.pipeline.records import record_to_dict
 from repro.schemas import SERVE_ERROR_V1
 from repro.serve import ModelRegistry, ServeConfig
+from repro.serve.http import MAX_HEADERS
 from tests.serve.conftest import ServeHandle
 
 
@@ -176,6 +177,9 @@ def raw_exchange(port, data):
 
 
 OVERLONG = b"a" * (80 * 1024)  # past the 64 KiB StreamReader line limit
+TOO_MANY_HEADERS = b"".join(
+    b"X-H%d: v\r\n" % i for i in range(MAX_HEADERS + 1)
+)
 
 
 @pytest.mark.parametrize("request_bytes, status", [
@@ -185,8 +189,10 @@ OVERLONG = b"a" * (80 * 1024)  # past the 64 KiB StreamReader line limit
     (b"GET /healthz HTTP/1.1\r\nX-Big: " + OVERLONG + b"\r\n\r\n", 431),
     (b"GET /" + OVERLONG + b" HTTP/1.1\r\n\r\n", 431),
     (b"GET /healthz\r\n\r\n", 400),
+    (b"GET /healthz HTTP/1.1\r\n" + TOO_MANY_HEADERS + b"\r\n", 431),
 ], ids=["length-not-integer", "length-negative", "length-fraction",
-        "header-line-too-long", "request-line-too-long", "bad-request-line"])
+        "header-line-too-long", "request-line-too-long", "bad-request-line",
+        "too-many-headers"])
 def test_unframeable_request_answered_once_then_closed(
         server, request_bytes, status):
     with tracing() as tel:
