@@ -24,7 +24,14 @@ fire-and-forget fast path used by the data plane (packet serialization,
 delivery, forwarding), which queues a bare ``(time, seq, bucket, fn,
 args)`` tuple with no handle object at all.  The dispatch loop lives in
 the scheduler so the hot path runs over locals; both tiers share one
-sequence counter, so FIFO ordering across tiers is exact.
+sequence counter, so FIFO ordering across tiers is exact.  A callback
+about to post a zero-delay entry may run its target inline instead when
+:meth:`CalendarScheduler.due` reports nothing else due at the current
+instant: the skipped entry would have been the very next one dispatched
+(the zero-delay router bridge in :class:`repro.simnet.link.Channel`).
+
+The random streams are plain ``random.Random`` generators: CPython's C
+Mersenne Twister draws cheaper than any Python-level batching over it.
 
 Cancelled events are purged lazily, but the scheduler counts its dead
 entries and compacts the queue when more than half the entries are
@@ -37,13 +44,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import random
 import sys
 from sys import getrefcount
 from typing import Any, Callable, List, Optional, Tuple
-
-from repro.simnet.packet import _graveyard as _packet_graveyard
-from repro.simnet.packet import sweep_freed_packets
-from repro.simnet.rng import BatchedRandom
 
 #: events recycled through the per-simulator free list (steady state keeps
 #: allocation near zero; the cap only bounds a burst of simultaneous events)
@@ -186,8 +190,6 @@ class CalendarScheduler:
         refcount = getrefcount
         pool_max = _EVENT_POOL_MAX
         free = sim._free_events
-        grave = _packet_graveyard
-        sweep = sweep_freed_packets
         limit_k = _MAX_K if limit == math.inf else int(limit / self._width)
         n = 0
         cursor = self._cursor
@@ -231,8 +233,6 @@ class CalendarScheduler:
                             fn(*args)
                             n += 1
                             args = None
-                        if grave:
-                            sweep()
                         continue
                 # Bucket exhausted for this revolution.  Any event with
                 # time <= limit has bucket number <= limit_k, so the
@@ -275,6 +275,18 @@ class CalendarScheduler:
                 continue
             heapq.heappush(buckets[entry[2] % nb], entry)
             self._ring_n += 1
+
+    def due(self, time: float) -> bool:
+        """Whether a queued entry is due by ``time``.
+
+        Called during dispatch with ``time == sim.now``: every entry due
+        at the current instant shares the cursor's bucket (far entries
+        lie beyond the current revolution), so peeking at that bucket's
+        head sees each live one.  A cancelled entry counts until it is
+        purged, which only ever answers ``True`` where ``False`` was safe.
+        """
+        bucket = self._buckets[self._cursor % self._nb]
+        return bool(bucket) and bucket[0][0] <= time
 
     def note_cancel(self) -> None:
         self._cancelled += 1
@@ -324,10 +336,6 @@ class CalendarScheduler:
 #: the pending-queue class every :class:`Simulator` builds
 DEFAULT_SCHEDULER = CalendarScheduler
 
-#: the generator class behind ``Simulator.rng`` and :meth:`Simulator.fork_rng`
-#: (draw-for-draw identical to ``random.Random``, which the tests swap in)
-DEFAULT_RANDOM = BatchedRandom
-
 
 class Simulator:
     """One session's event loop: a private queue, a clock, seeded streams.
@@ -342,9 +350,9 @@ class Simulator:
     Parameters
     ----------
     seed:
-        Seed for both the ``random.Random``-compatible instance
-        (hot-path draws such as per-packet loss) and auxiliary
-        generators derived from it via :meth:`fork_rng`.
+        Seed of ``rng``, a plain ``random.Random(seed)`` (hot-path draws
+        such as per-packet loss), and of the auxiliary generators
+        :meth:`fork_rng` derives from it.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -362,7 +370,7 @@ class Simulator:
         #: current simulation time in seconds (read-only for components)
         self.now = 0.0
         self.seed = seed
-        self.rng = DEFAULT_RANDOM(seed)
+        self.rng = random.Random(seed)
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
@@ -460,4 +468,4 @@ class Simulator:
 
     def fork_rng(self, label: str):
         """Derive an independent, reproducible RNG for a subsystem."""
-        return DEFAULT_RANDOM(f"{self.seed}/{label}")
+        return random.Random(f"{self.seed}/{label}")

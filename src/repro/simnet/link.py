@@ -11,6 +11,16 @@ which is exactly the pipeline ``tc``/``netem`` applies in the paper's
 testbed (Table 3).  :class:`NetemChannel` is a thin preset wrapper that
 takes the Table 3 parameters directly.  Channels expose counters the
 link-layer probe turns into features (utilisation, drops, queue delay).
+
+The data path takes three exact short-cuts.  An idle channel starts
+transmitting without a round trip through its queue; a lossless channel
+draws no loss; and a delivery due at the instant its transmission ends
+(the zero-delay router bridge) runs inline at the end of ``_tx_done``
+when the scheduler has nothing else due at that instant
+(:meth:`~repro.simnet.engine.CalendarScheduler.due`).  The skipped event
+would have been the very next one dispatched, and the next transmission
+is posted before the inline call, so every later post keeps its sequence
+order and the draw sequence is unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from repro.simnet.engine import Simulator
-from repro.simnet.packet import Packet, free_packet
+from repro.simnet.packet import Packet
 
 Deliver = Callable[[Packet], None]
 
@@ -107,23 +117,17 @@ class Channel:
         size = pkt.size
         if self._queued_bytes + size > self.queue_limit_bytes:
             self.pkts_dropped_queue += 1
-            free_packet(pkt)
             return False
-        self._queue.append(pkt)
-        self._enqueue_times.append(self.sim.now)
-        self._queued_bytes += size
-        if not self._transmitting:
-            # Idle transmitter: the packet we just queued starts at once
-            # (inline of the dequeue in _tx_done, minus the queue delay --
-            # it is zero on this path by construction).
-            self._queue.popleft()
-            self._enqueue_times.popleft()
-            sim = self.sim
-            self._queued_bytes -= size
-            self._transmitting = True
-            tx_time = size * 8.0 / self.rate_bps
-            self.busy_time += tx_time
-            sim.post(tx_time, self._tx_done, pkt)
+        if self._transmitting:
+            self._queue.append(pkt)
+            self._enqueue_times.append(self.sim.now)
+            self._queued_bytes += size
+            return True
+        # Idle transmitter: the packet starts at once, with zero queue delay.
+        self._transmitting = True
+        tx_time = size * 8.0 / self.rate_bps
+        self.busy_time += tx_time
+        self.sim.post(tx_time, self._tx_done, pkt)
         return True
 
     @property
@@ -143,17 +147,14 @@ class Channel:
     # -- internals -----------------------------------------------------------
 
     def _draw_loss(self) -> bool:
-        """Gilbert-Elliott loss draw.
+        """Gilbert-Elliott loss draw on a lossy channel (``loss > 0``).
 
         With ``loss_burst == 1`` this degenerates to i.i.d. loss at rate
         ``loss``; larger values keep the average loss rate but group drops
         into bursts of that mean length, as observed on access links.
         """
-        if self.loss <= 0.0:
-            self._loss_state_bad = False
-            return False
         if self.loss_burst <= 1.0:
-            # Inline of sim.chance(loss): loss > 0 was checked above, and
+            # Inline of sim.chance(loss): the caller checked loss > 0, and
             # the >= 1 short-circuit must not consume a draw.
             loss = self.loss
             return loss >= 1.0 or self.sim.rng.random() < loss
@@ -171,9 +172,15 @@ class Channel:
         self.pkts_sent += 1
         self.bytes_sent += pkt.size
         sim = self.sim
-        if self._draw_loss():
+        inline: Optional[Packet] = None
+        if self.loss <= 0.0:
+            # No draw; switching the loss off also ends a loss burst.
+            self._loss_state_bad = False
+            lost = False
+        else:
+            lost = self._draw_loss()
+        if lost:
             self.pkts_dropped_loss += 1
-            free_packet(pkt)
         else:
             latency = self.delay
             if self.jitter > 0.0:
@@ -188,7 +195,12 @@ class Channel:
             if arrival < last:
                 arrival = last
             self._last_arrival = arrival
-            sim.post(arrival - now, self.receiver, pkt)
+            if arrival == now and not sim.scheduler.due(now):
+                # The delivery would be the very next event dispatched:
+                # run it as this callback's last statement instead.
+                inline = pkt
+            else:
+                sim.post(arrival - now, self.receiver, pkt)
         queue = self._queue
         if queue:
             next_pkt = queue.popleft()
@@ -201,6 +213,8 @@ class Channel:
             sim.post(tx_time, self._tx_done, next_pkt)
         else:
             self._transmitting = False
+        if inline is not None:
+            self.receiver(inline)
 
 
 class NetemChannel(Channel):

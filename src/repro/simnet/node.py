@@ -17,7 +17,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Channel
-from repro.simnet.packet import Packet, free_packet
+from repro.simnet.packet import Packet
 
 PacketHandler = Callable[[Packet], None]
 TapFn = Callable[[Packet, str, float], None]
@@ -182,21 +182,18 @@ class Node:
         handler = sockets.get((pkt.proto, pkt.dport, pkt.src, pkt.sport))
         if handler is None:
             handler = sockets.get((pkt.proto, pkt.dport, None, None))
-        if handler is not None:
-            handler(pkt)
         # Unmatched packets are silently discarded, as a host with no
         # listener would (we do not model RST generation for probes).
-        free_packet(pkt)
+        if handler is not None:
+            handler(pkt)
 
     def forward(self, pkt: Packet, in_iface: Interface) -> None:
         pkt.ttl -= 1
         if pkt.ttl <= 0:
-            free_packet(pkt)
             return
         out = self.route_for(pkt.dst)
         if out is None or out is in_iface:
             self.pkts_no_route += 1
-            free_packet(pkt)
             return
         self.pkts_forwarded += 1
         out.transmit(pkt)
@@ -208,7 +205,6 @@ class Node:
         out = self.route_for(pkt.dst)
         if out is None:
             self.pkts_no_route += 1
-            free_packet(pkt)
             return False
         return out.transmit(pkt)
 
@@ -260,7 +256,6 @@ class Router(Node):
     def forward(self, pkt: Packet, in_iface: Interface) -> None:
         pkt.ttl -= 1
         if pkt.ttl <= 0:
-            free_packet(pkt)
             return
         self.bridge.send(pkt)
 
@@ -277,7 +272,6 @@ class Router(Node):
         out = self.route_for(pkt.dst)
         if out is None:
             self.pkts_no_route += 1
-            free_packet(pkt)
             return
         self.pkts_forwarded += 1
         out.transmit(pkt)

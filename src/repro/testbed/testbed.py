@@ -15,8 +15,9 @@ the full per-VP feature set and the MOS-based ground truth.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.faults.base import Fault
 from repro.obs.telemetry import get_telemetry
@@ -28,7 +29,6 @@ from repro.probes.tstat import FlowKey, TstatProbe
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Channel, NetemChannel
 from repro.simnet.node import Host, Router, wire
-from repro.simnet.packet import pool_stats
 from repro.simnet.wireless import WifiMedium
 from repro.testbed.devices import MobileDevice, RouterDevice, ServerDevice
 from repro.traffic.apachebench import ApacheBenchLoad
@@ -241,6 +241,14 @@ class Testbed:
             add(prefix, link.stop())
         return features
 
+    @contextmanager
+    def _phase(self, name: str, fault_name: str) -> Iterator[None]:
+        """A telemetry span whose ``events`` counts the events run in it."""
+        before = self.sim.events_processed
+        with get_telemetry().span(name, fault=fault_name) as span:
+            yield
+            span.set("events", self.sim.events_processed - before)
+
     def _run_instrumented(
         self,
         session_factory: Callable[[], Any],
@@ -251,32 +259,34 @@ class Testbed:
 
         ``session_factory`` is invoked *after* the fault is applied, so
         faults that alter session setup (e.g. DNS resolution delay) take
-        effect.  Returns ``(session, features)``.
+        effect.  Returns ``(session, features)``.  Each phase is a
+        telemetry span -- ``testbed.warmup``, ``testbed.settle`` (only
+        with a fault), ``testbed.session`` and ``testbed.readout`` -- whose
+        ``events`` attribute counts the simulator events it dispatched.
         """
         cfg = self.config
         sim = self.sim
-        self.background.start()
-        self.ab_load.start()
-        sim.run(until=sim.now + cfg.warmup_s)
+        fault_name = fault.name if fault else "none"
+        with self._phase("testbed.warmup", fault_name):
+            self.background.start()
+            self.ab_load.start()
+            sim.run(until=sim.now + cfg.warmup_s)
         if fault is not None:
-            fault.apply(self)
-            # Let queues/load settle so the probe window sees the fault state.
-            sim.run(until=sim.now + 1.0)
+            with self._phase("testbed.settle", fault_name):
+                fault.apply(self)
+                # Let queues/load settle so the probe window sees the fault state.
+                sim.run(until=sim.now + 1.0)
         probes = self._probes_up()
         session = session_factory()
-        events_before = sim.events_processed
-        with get_telemetry().span(
-            "testbed.session", fault=fault.name if fault else "none"
-        ) as span:
+        with self._phase("testbed.session", fault_name):
             session.start()
             deadline = sim.now + deadline_s
             while not session.finished and sim.now < deadline:
                 sim.run(until=min(deadline, sim.now + 1.0))
-            span.set("events", sim.events_processed - events_before)
-            span.set("packets_pooled", pool_stats()["pooled"])
-        features = self._probes_down(probes, session.flow_key)
-        if fault is not None:
-            fault.clear(self)
+        with self._phase("testbed.readout", fault_name):
+            features = self._probes_down(probes, session.flow_key)
+            if fault is not None:
+                fault.clear(self)
         return session, features
 
     def run_video_session(

@@ -1,7 +1,8 @@
 """Binary-heap scheduler: the semantic oracle for the calendar queue.
 
 One heap of ``(time, seq, 0, fn_or_event, args_or_None)`` entries, the
-same entry layout and dispatch contract as
+same entry layout and dispatch contract (including ``due``, the guard of
+the channels' inline delivery) as
 :class:`repro.simnet.engine.CalendarScheduler`.  Swap it into every new
 :class:`~repro.simnet.engine.Simulator` with::
 
@@ -15,8 +16,6 @@ from sys import getrefcount
 from typing import Any, Callable, List
 
 from repro.simnet.engine import _EVENT_POOL_MAX, _entry_live
-from repro.simnet.packet import _graveyard as _packet_graveyard
-from repro.simnet.packet import sweep_freed_packets
 
 
 class HeapScheduler:
@@ -73,9 +72,11 @@ class HeapScheduler:
                 fn(*args)
                 n += 1
                 args = None
-            if _packet_graveyard:
-                sweep_freed_packets()
         return n
+
+    def due(self, time: float) -> bool:
+        heap = self._heap
+        return bool(heap) and heap[0][0] <= time
 
     def note_cancel(self) -> None:
         self._cancelled += 1

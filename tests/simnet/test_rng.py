@@ -1,148 +1,53 @@
-"""BatchedRandom must reproduce ``random.Random`` draw-for-draw.
+"""The simulator's random streams are plain seeded ``random.Random``.
 
-The campaign datasets are pinned bit-identical across refactors, so the
-batched generator is only admissible if every draw -- through any stdlib
-distribution, under any interleaving with ``getrandbits`` -- matches the
-CPython Mersenne Twister exactly.  These tests pin that contract.
+Campaign records are pinned byte-identical across commits
+(``tests/golden``), so the streams a :class:`Simulator` hands out are part
+of the contract: ``sim.rng`` draws what ``random.Random(seed)`` draws, a
+fork labelled ``label`` draws what ``random.Random(f"{seed}/{label}")``
+draws, and the helper methods map onto the stdlib distributions.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.simnet import engine
 from repro.simnet.engine import Simulator
-from repro.simnet.rng import _BLOCK_MIN, BatchedRandom
-
-
-def test_random_sequence_exact_across_refills():
-    ref = random.Random(1234)
-    bat = BatchedRandom(1234)
-    # 3 * _BLOCK_MAX words' worth of draws crosses several refills.
-    for _ in range(20_000):
-        assert bat.random() == ref.random()
-
-
-@pytest.mark.parametrize("k", [1, 5, 31, 32, 33, 64, 65, 100, 128])
-def test_getrandbits_exact(k):
-    ref = random.Random(99)
-    bat = BatchedRandom(99)
-    for _ in range(500):
-        assert bat.getrandbits(k) == ref.getrandbits(k)
-
-
-def test_getrandbits_edge_cases():
-    assert BatchedRandom(0).getrandbits(0) == random.Random(0).getrandbits(0)
-    with pytest.raises(ValueError):
-        BatchedRandom(0).getrandbits(-1)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**40, "string-seed", 3.5])
 def test_seed_types_match(seed):
+    sim = Simulator(seed=seed)
     ref = random.Random(seed)
-    bat = BatchedRandom(seed)
-    assert [bat.random() for _ in range(10)] == [ref.random() for _ in range(10)]
+    assert [sim.rng.random() for _ in range(10)] == [
+        ref.random() for _ in range(10)
+    ]
 
 
 def test_derived_distributions_match():
-    """Inherited stdlib methods reduce to the overridden primitives."""
+    """The helpers draw exactly the stdlib distribution they wrap."""
+    sim = Simulator(seed=55)
     ref = random.Random(55)
-    bat = BatchedRandom(55)
     for _ in range(300):
-        assert bat.uniform(0, 10) == ref.uniform(0, 10)
-        assert bat.gauss(5.0, 2.0) == ref.gauss(5.0, 2.0)
-        assert bat.expovariate(0.5) == ref.expovariate(0.5)
-        assert bat.randint(0, 1 << 40) == ref.randint(0, 1 << 40)
-        assert bat.choice(range(97)) == ref.choice(range(97))
-    items_a = list(range(50))
-    items_b = list(range(50))
-    bat.shuffle(items_a)
-    ref.shuffle(items_b)
-    assert items_a == items_b
+        assert sim.uniform(0, 10) == ref.uniform(0, 10)
+        assert sim.normal(5.0, 2.0) == ref.gauss(5.0, 2.0)
+        assert sim.bounded_normal(0.0, 1.0, lo=-0.5, hi=0.5) == min(
+            0.5, max(-0.5, ref.gauss(0.0, 1.0)))
+        assert sim.expovariate(0.5) == ref.expovariate(0.5)
+        assert sim.chance(0.3) == (ref.random() < 0.3)
+        assert sim.choice(range(97)) == ref.choice(range(97))
+    assert sim.chance(0.0) is False and sim.chance(1.0) is True  # no draw
+    assert sim.rng.random() == ref.random()
 
 
-def test_odd_parity_alignment():
-    """getrandbits consumes single words, so random() must stay exact
-    from both even and odd buffer positions."""
-    ref = random.Random(77)
-    bat = BatchedRandom(77)
-    for _ in range(2_000):
-        assert bat.getrandbits(32) == ref.getrandbits(32)  # odd step
-        assert bat.random() == ref.random()
-        assert bat.random() == ref.random()
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.sampled_from(["random", "bits1", "bits33", "gauss", "randrange"]),
-        min_size=1,
-        max_size=200,
-    ),
-    st.integers(min_value=0, max_value=2**31),
-)
-def test_arbitrary_interleavings_match(ops, seed):
-    ref = random.Random(seed)
-    bat = BatchedRandom(seed)
-    for op in ops:
-        if op == "random":
-            assert bat.random() == ref.random()
-        elif op == "bits1":
-            assert bat.getrandbits(1) == ref.getrandbits(1)
-        elif op == "bits33":
-            assert bat.getrandbits(33) == ref.getrandbits(33)
-        elif op == "gauss":
-            assert bat.gauss(0.0, 1.0) == ref.gauss(0.0, 1.0)
-        else:
-            assert bat.randrange(1000) == ref.randrange(1000)
-
-
-def test_getstate_round_trips_to_stdlib():
-    """State captured mid-stream transplants into a plain random.Random."""
-    bat = BatchedRandom(31337)
-    for _ in range(_BLOCK_MIN + 17):  # land mid-block
-        bat.random()
-    ref = random.Random()
-    ref.setstate(bat.getstate())
-    for _ in range(1000):
-        assert bat.random() == ref.random()
-
-
-def test_setstate_from_stdlib():
-    ref = random.Random(4242)
-    for _ in range(123):
-        ref.random()
-    bat = BatchedRandom(0)
-    bat.setstate(ref.getstate())
-    for _ in range(1000):
-        assert bat.random() == ref.random()
-
-
-def test_getstate_setstate_self_round_trip():
-    bat = BatchedRandom(9)
-    for _ in range(100):
-        bat.random()
-    state = bat.getstate()
-    tail = [bat.random() for _ in range(50)]
-    bat.setstate(state)
-    assert [bat.random() for _ in range(50)] == tail
-
-
-# ------------------------------------------------------------- simulator
-
-
-def test_simulator_streams_match_stdlib_oracle(monkeypatch):
+def test_simulator_streams_match_stdlib_oracle():
     """The main and forked streams draw what ``random.Random`` would."""
-    batched = Simulator(seed=5)
-    assert isinstance(batched.rng, BatchedRandom)
-    monkeypatch.setattr(engine, "DEFAULT_RANDOM", random.Random)
-    oracle = Simulator(seed=5)
-    assert type(oracle.rng) is random.Random
-    assert [batched.rng.random() for _ in range(100)] == [
-        oracle.rng.random() for _ in range(100)
+    sim, ref = Simulator(seed=5), random.Random(5)
+    assert type(sim.rng) is random.Random
+    assert [sim.rng.random() for _ in range(100)] == [
+        ref.random() for _ in range(100)
     ]
-    fork_a, fork_b = batched.fork_rng("x"), oracle.fork_rng("x")
-    assert [fork_a.gauss(0, 1) for _ in range(100)] == [
-        fork_b.gauss(0, 1) for _ in range(100)
+    fork, ref_fork = sim.fork_rng("x"), random.Random("5/x")
+    assert type(fork) is random.Random
+    assert [fork.gauss(0, 1) for _ in range(100)] == [
+        ref_fork.gauss(0, 1) for _ in range(100)
     ]

@@ -205,7 +205,8 @@ def test_event_objects_are_recycled(scheduler_name):
     )
 )
 def test_calendar_matches_reference(ops):
-    """Any mix of schedule/post/cancel fires identically on both."""
+    """Any mix of schedule/post/cancel fires identically on both, and
+    inside every callback ``due(now)`` sees each live entry due then."""
 
     def run(name):
         with pytest.MonkeyPatch.context() as mp:
@@ -213,16 +214,30 @@ def test_calendar_matches_reference(ops):
             sim = Simulator()
         assert type(sim.scheduler) is SCHEDULERS[name]
         fired = []
+        dues = []
         cancellable = []
+
+        def fire(tag):
+            fired.append(tag)
+            dues.append(sim.scheduler.due(sim.now))
+
         for i, (delay, kind) in enumerate(ops):
             if kind == "post":
-                sim.post(delay, fired.append, ("p", i, delay))
+                sim.post(delay, fire, ("p", i, delay))
             else:
-                event = sim.schedule(delay, fired.append, ("s", i, delay))
+                event = sim.schedule(delay, fire, ("s", i, delay))
                 cancellable.append(event)
                 if kind == "cancel" and len(cancellable) >= 2:
                     cancellable[len(cancellable) // 2].cancel()
         sim.run()
+        # Entries fire in time order, so a live entry is due at a callback's
+        # instant exactly when the next callback fires at the same time.
+        # Cancelled entries may still count as due until they are purged.
+        times = [tag[2] for tag in fired]
+        live_due = [a == b for a, b in zip(times, times[1:])] + [False]
+        assert all(due for due, live in zip(dues, live_due) if live)
+        if all(kind != "cancel" for _, kind in ops):
+            assert dues == live_due
         return fired, sim.now, sim.pending()
 
     assert run("calendar") == run("reference")

@@ -98,12 +98,16 @@ def test_version_string():
 
 
 def test_simnet_exports_one_engine():
-    """One simulator, one scheduler, one RNG: no engine switches exported."""
+    """One simulator, one scheduler, the stdlib RNG, no packet pool."""
     import repro.simnet
 
     removed = {"EventLoop", "SessionContext", "ReferenceScheduler",
                "SCHEDULERS", "make_scheduler", "RngBlockAllocator",
-               "resolve_rng_mode"}
+               "resolve_rng_mode", "BatchedRandom", "free_packet",
+               "sweep_freed_packets", "pool_stats"}
     assert not removed & set(repro.simnet.__all__)
-    assert {"Simulator", "CalendarScheduler", "BatchedRandom"} <= set(
-        repro.simnet.__all__)
+    assert not removed & set(dir(repro.simnet))
+    assert not removed & set(dir(importlib.import_module("repro.simnet.packet")))
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.simnet.rng")
+    assert {"Simulator", "CalendarScheduler"} <= set(repro.simnet.__all__)

@@ -1,15 +1,14 @@
-"""Fast-path equivalence: the simnet rework must be invisible in the data.
+"""Fast-path equivalence: the simnet fast paths must be invisible in the data.
 
-The calendar scheduler, the batched RNG, packet/event pooling and the
-incremental probes are throughput work only -- campaign records must stay
-*byte-identical* to a run on the reference oracles (the binary-heap
-scheduler, a plain ``random.Random``) and across worker counts, and the
-dataset cache key must not move (CACHE_VERSION stays 5: cached datasets
-from before the rework remain valid).
+The calendar scheduler, the Event free list, the channel short-cuts and
+the incremental probes are throughput work only -- campaign records must
+stay *byte-identical* to a run on the binary-heap scheduler oracle and
+across worker counts, and the dataset cache key must not move
+(CACHE_VERSION stays 5: cached datasets from before the rework remain
+valid).  ``tests/golden`` pins the records themselves across commits.
 """
 
 import pickle
-import random
 
 from repro.experiments.common import CACHE_VERSION, _config_key
 from repro.simnet import engine
@@ -40,13 +39,6 @@ def test_records_identical_across_schedulers(monkeypatch):
     monkeypatch.setattr(engine, "DEFAULT_SCHEDULER", HeapScheduler)
     reference = _payload(run_campaign(_tiny_config(), workers=1))
     assert calendar == reference
-
-
-def test_records_identical_across_rng_modes(monkeypatch):
-    batched = _payload(run_campaign(_tiny_config(), workers=1))
-    monkeypatch.setattr(engine, "DEFAULT_RANDOM", random.Random)
-    stdlib = _payload(run_campaign(_tiny_config(), workers=1))
-    assert batched == stdlib
 
 
 def test_records_identical_serial_vs_parallel():

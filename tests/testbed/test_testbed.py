@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.faults import make_fault
+from repro.obs.telemetry import tracing
 from repro.testbed.testbed import SessionRecord, Testbed, TestbedConfig
 from repro.video.catalog import VideoCatalog
 
@@ -133,3 +134,26 @@ def test_record_labels_consistent():
     if record.severity == "good":
         assert record.exact_label == "good"
         assert record.location_label == "good"
+
+
+@pytest.mark.parametrize("fault_name", [None, "wan_shaping"])
+def test_phase_spans_account_for_every_event(fault_name):
+    """warm-up + settle + session + read-out spans split the whole run."""
+    bed = Testbed(TestbedConfig(seed=35))
+    fault = (make_fault(fault_name, "severe", random.Random(5))
+             if fault_name else None)
+    events_before = bed.sim.events_processed
+    with tracing() as tel:
+        bed.run_video_session(SD, fault=fault)
+        spans = {s.name: s for s in tel.spans if s.name.startswith("testbed.")}
+        tel.reset()
+    bed.shutdown()
+    phases = ["testbed.warmup", "testbed.session", "testbed.readout"]
+    if fault is not None:
+        phases.insert(1, "testbed.settle")
+    assert sorted(spans) == sorted(phases)
+    assert all(spans[p].attrs["fault"] == (fault_name or "none")
+               for p in phases)
+    assert all(spans[p].attrs["events"] > 0 for p in phases[:-1])
+    assert (sum(spans[p].attrs["events"] for p in phases)
+            == bed.sim.events_processed - events_before)
