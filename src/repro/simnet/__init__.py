@@ -17,7 +17,7 @@ This package provides the equivalent substrate in simulation:
   rate adaptation, airtime sharing, interference and link-layer retries.
 """
 
-from repro.simnet.engine import Simulator, Event, CalendarScheduler
+from repro.simnet.engine import Simulator, Event
 from repro.simnet.packet import Packet, FlowKey, TCP, UDP
 from repro.simnet.link import Channel, NetemChannel, DuplexLink
 from repro.simnet.node import Node, Host, Router, Interface, Tap
@@ -30,7 +30,6 @@ from repro.simnet.trace import PacketTrace, TraceRecorder
 __all__ = [
     "Simulator",
     "Event",
-    "CalendarScheduler",
     "Packet",
     "FlowKey",
     "TCP",

@@ -8,32 +8,28 @@ simulator's seeded generators so that a campaign is fully reproducible
 from its seed, as required by the evaluation pipeline.  Sessions never
 share a simulator; campaigns spread sessions over worker processes.
 
-The pending queue is a :class:`CalendarScheduler` -- a calendar queue: a
-ring of time buckets, each an independent binary heap keyed on ``(time,
-seq)``, plus an overflow heap for events beyond the ring's horizon.
-Most pushes and pops touch a heap of only the events sharing one bucket,
-and the heap entries are plain tuples so ordering comparisons run in C.
-Events fire in ``(time, seq)`` order: among equal timestamps, schedule
-(FIFO) order wins.  The test suite pins the calendar queue against a
-plain binary-heap oracle (``tests/oracles/scheduler.py``), swapped in
-through :data:`DEFAULT_SCHEDULER`.
+The pending queue is one binary heap of ``(time, seq, fn_or_event,
+args)`` tuples.  ``seq`` is unique, so heap comparisons run in C and
+never look past it: events fire in ``(time, seq)`` order, and among
+equal timestamps schedule (FIFO) order wins.  A session's queue holds
+about a hundred entries (median 74, max 278 over the eight golden
+Table-2 cells), far too few for a bucketed queue to beat ``heapq``.
 
 Scheduling has two tiers.  :meth:`Simulator.schedule` returns a
 cancellable :class:`Event` handle; :meth:`Simulator.post` is the
 fire-and-forget fast path used by the data plane (packet serialization,
-delivery, forwarding), which queues a bare ``(time, seq, bucket, fn,
-args)`` tuple with no handle object at all.  The dispatch loop lives in
-the scheduler so the hot path runs over locals; both tiers share one
-sequence counter, so FIFO ordering across tiers is exact.  A callback
-about to post a zero-delay entry may run its target inline instead when
-:meth:`CalendarScheduler.due` reports nothing else due at the current
-instant: the skipped entry would have been the very next one dispatched
-(the zero-delay router bridge in :class:`repro.simnet.link.Channel`).
+delivery, forwarding), which queues the callback and its argument tuple
+with no handle object at all.  Both tiers share one sequence counter, so
+FIFO ordering across tiers is exact.  A callback about to post a
+zero-delay entry may run its target inline instead when
+:meth:`Simulator.due` reports nothing else due at the current instant:
+the skipped entry would have been the very next one dispatched (the
+zero-delay router bridge in :class:`repro.simnet.link.Channel`).
 
 The random streams are plain ``random.Random`` generators: CPython's C
 Mersenne Twister draws cheaper than any Python-level batching over it.
 
-Cancelled events are purged lazily, but the scheduler counts its dead
+Cancelled events are purged lazily, but the simulator counts its dead
 entries and compacts the queue when more than half the entries are
 cancelled, so a workload that schedules and cancels many timers (TCP RTO
 rearming, probe sampling) keeps the queue bounded by the live event count.
@@ -45,7 +41,6 @@ import heapq
 import itertools
 import math
 import random
-import sys
 from sys import getrefcount
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -53,27 +48,16 @@ from typing import Any, Callable, List, Optional, Tuple
 #: allocation near zero; the cap only bounds a burst of simultaneous events)
 _EVENT_POOL_MAX = 256
 
-#: calendar geometry: 512 buckets of 0.5 ms cover a 256 ms horizon, sized
-#: for the testbed's event mix (sub-ms wifi slots and serialization times,
-#: tens-of-ms propagation and delayed-ACK timers); RTOs and 1 s probe
-#: timers live in the overflow heap and migrate in one revolution early.
-_BUCKET_WIDTH_S = 5e-4
-_N_BUCKETS = 512
-
-#: bucket-number stand-in for "no limit" (compares above any real bucket)
-_MAX_K = sys.maxsize
-
-# A queue entry is (time, seq, bucket, fn_or_event, args_or_None): a plain
-# Event for the cancellable tier (args is None), or the callback and its
-# argument tuple directly for the post() tier.  ``seq`` is unique, so heap
-# comparisons never look past it and ordering is exactly (time, seq).
-_SchedEntry = Tuple[float, int, int, Any, Optional[tuple]]
+# A queue entry is (time, seq, fn_or_event, args_or_None): a plain Event
+# for the cancellable tier (args is None), or the callback and its
+# argument tuple directly for the post() tier.
+_Entry = Tuple[float, int, Any, Optional[tuple]]
 
 
 class Event:
     """A scheduled callback; cancellable handle returned by ``schedule``."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_queue")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
 
     def __init__(self, time: float, seq: int, fn: Callable, args: tuple):
         self.time = time
@@ -81,7 +65,7 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self._queue = None  # owning scheduler while queued (for accounting)
+        self._sim: Optional[Simulator] = None  # owner while queued
 
     def cancel(self) -> None:
         """Prevent the callback from firing; safe to call more than once."""
@@ -90,251 +74,13 @@ class Event:
         self.cancelled = True
         self.fn = None
         self.args = ()
-        queue = self._queue
-        if queue is not None:
-            queue.note_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+        sim = self._sim
+        if sim is not None:
+            sim._note_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, {state})"
-
-
-def _entry_live(entry: _SchedEntry) -> bool:
-    return entry[4] is not None or not entry[3].cancelled
-
-
-class CalendarScheduler:
-    """Calendar queue: bucketed near-future ring + far-future overflow heap.
-
-    The third entry field holds the event's absolute bucket number
-    ``k = int(time / width)`` (monotone in ``time``, so bucket order can
-    never contradict time order).  The ring covers buckets
-    ``[cursor, cursor + n_buckets)``; later events wait in ``_far`` and
-    migrate into the ring one revolution ahead of the cursor.  When the
-    ring empties the cursor jumps directly to the far head's bucket, so
-    sparse workloads never scan empty buckets.
-    """
-
-    def __init__(
-        self, bucket_width: float = _BUCKET_WIDTH_S, n_buckets: int = _N_BUCKETS
-    ) -> None:
-        if bucket_width <= 0 or n_buckets < 2:
-            raise ValueError("calendar needs a positive width and >= 2 buckets")
-        self._width = float(bucket_width)
-        self._nb = int(n_buckets)
-        self._buckets: List[List[_SchedEntry]] = [[] for _ in range(self._nb)]
-        self._far: List[_SchedEntry] = []
-        self._cursor = 0  # absolute bucket number currently being drained
-        self._ring_n = 0  # entries (live + cancelled) in the ring
-        self._far_n = 0
-        self._cancelled = 0
-
-    def insert(
-        self, time: float, seq: int, fn: Any, args: Optional[tuple]
-    ) -> None:
-        k = int(time / self._width)
-        cursor = self._cursor
-        if k < cursor:
-            # Reachable through float rounding at a bucket boundary; the
-            # current bucket's heap still orders it correctly by time.
-            k = cursor
-        if k - cursor < self._nb:
-            heapq.heappush(self._buckets[k % self._nb], (time, seq, k, fn, args))
-            self._ring_n += 1
-        else:
-            heapq.heappush(self._far, (time, seq, k, fn, args))
-            self._far_n += 1
-
-    def make_post(self, sim: "Simulator", seq: Any) -> Callable[..., None]:
-        """Build the fire-and-forget fast path bound to this queue.
-
-        The returned closure is installed as ``sim.post``: it fuses the
-        sequence draw and the bucket insert into one call frame.  The
-        bucket ring and far heap are captured directly, which is safe
-        because :meth:`compact` rebuilds both in place.
-        """
-        buckets = self._buckets
-        nb = self._nb
-        width = self._width
-        far = self._far
-        heappush = heapq.heappush
-        seq_next = seq.__next__
-
-        def post(delay: float, fn: Callable, *args: Any) -> None:
-            if delay < 0:
-                raise ValueError(f"cannot schedule in the past (delay={delay})")
-            time = sim.now + delay
-            k = int(time / width)
-            cursor = self._cursor
-            if k < cursor:
-                k = cursor
-            if k - cursor < nb:
-                heappush(buckets[k % nb], (time, seq_next(), k, fn, args))
-                self._ring_n += 1
-            else:
-                heappush(far, (time, seq_next(), k, fn, args))
-                self._far_n += 1
-
-        return post
-
-    def _run(self, sim: "Simulator", limit: float) -> int:
-        """Dispatch events with ``time <= limit``; returns the count run."""
-        buckets = self._buckets
-        nb = self._nb
-        heappop = heapq.heappop
-        refcount = getrefcount
-        pool_max = _EVENT_POOL_MAX
-        free = sim._free_events
-        limit_k = _MAX_K if limit == math.inf else int(limit / self._width)
-        n = 0
-        cursor = self._cursor
-        while sim._running:
-            if self._ring_n:
-                bucket = buckets[cursor % nb]
-                if bucket:
-                    head = bucket[0]
-                    # Entries whose bucket number belongs to a later
-                    # revolution share the heap but sort after this one's.
-                    if head[2] == cursor:
-                        if head[0] > limit:
-                            break
-                        heappop(bucket)
-                        self._ring_n -= 1
-                        fn = head[3]
-                        args = head[4]
-                        if args is None:
-                            event = fn
-                            event._queue = None
-                            if event.cancelled:
-                                self._cancelled -= 1
-                                head = None
-                                if len(free) < pool_max and refcount(event) == 2:
-                                    free.append(event)
-                                continue
-                            sim.now = head[0]
-                            fn = event.fn
-                            args = event.args
-                            event.fn = None
-                            event.args = ()
-                            head = None
-                            fn(*args)
-                            n += 1
-                            args = None
-                            if len(free) < pool_max and refcount(event) == 2:
-                                free.append(event)
-                        else:
-                            sim.now = head[0]
-                            head = None
-                            fn(*args)
-                            n += 1
-                            args = None
-                        continue
-                # Bucket exhausted for this revolution.  Any event with
-                # time <= limit has bucket number <= limit_k, so the
-                # cursor never needs to pass limit_k.
-                if limit_k <= cursor:
-                    break
-                cursor += 1
-                self._cursor = cursor
-                if not cursor % nb:
-                    self._drain_far()
-                continue
-            # Ring empty: discard dead far heads, then jump the cursor
-            # straight to the far head's bucket (sparse fast-forward).
-            far = self._far
-            while far:
-                h = far[0]
-                if h[4] is None and h[3].cancelled:
-                    heappop(far)
-                    self._far_n -= 1
-                    self._cancelled -= 1
-                    continue
-                break
-            if not far or far[0][0] > limit:
-                break
-            cursor = self._cursor = far[0][2]
-            self._drain_far()
-        return n
-
-    def _drain_far(self) -> None:
-        """Move far events that now fall inside the ring window."""
-        far = self._far
-        end = self._cursor + self._nb
-        nb = self._nb
-        buckets = self._buckets
-        while far and far[0][2] < end:
-            entry = heapq.heappop(far)
-            self._far_n -= 1
-            if entry[4] is None and entry[3].cancelled:
-                self._cancelled -= 1
-                continue
-            heapq.heappush(buckets[entry[2] % nb], entry)
-            self._ring_n += 1
-
-    def due(self, time: float) -> bool:
-        """Whether a queued entry is due by ``time``.
-
-        Called during dispatch with ``time == sim.now``: every entry due
-        at the current instant shares the cursor's bucket (far entries
-        lie beyond the current revolution), so peeking at that bucket's
-        head sees each live one.  A cancelled entry counts until it is
-        purged, which only ever answers ``True`` where ``False`` was safe.
-        """
-        bucket = self._buckets[self._cursor % self._nb]
-        return bool(bucket) and bucket[0][0] <= time
-
-    def note_cancel(self) -> None:
-        self._cancelled += 1
-        if (
-            self._cancelled > 32
-            and self._cancelled * 2 > self._ring_n + self._far_n
-        ):
-            self.compact()
-
-    def compact(self) -> None:
-        """Drop cancelled entries from every bucket and the far heap."""
-        # All rebuilds are in place (same list objects) so dispatch loops
-        # holding references across a callback-triggered compact stay valid.
-        nb = self._nb
-        buckets = self._buckets
-        end = self._cursor + nb
-        ring: List[_SchedEntry] = []
-        for bucket in buckets:
-            ring.extend(e for e in bucket if _entry_live(e))
-            del bucket[:]
-        far_keep: List[_SchedEntry] = []
-        for e in self._far:
-            if not _entry_live(e):
-                continue
-            if e[2] < end:
-                ring.append(e)
-            else:
-                far_keep.append(e)
-        for e in ring:
-            buckets[e[2] % nb].append(e)
-        for bucket in buckets:
-            if bucket:
-                heapq.heapify(bucket)
-        self._far[:] = far_keep
-        heapq.heapify(self._far)
-        self._ring_n = len(ring)
-        self._far_n = len(far_keep)
-        self._cancelled = 0
-
-    def pending(self) -> int:
-        return self._ring_n + self._far_n - self._cancelled
-
-    def __len__(self) -> int:
-        return self._ring_n + self._far_n
-
-
-#: the pending-queue class every :class:`Simulator` builds
-DEFAULT_SCHEDULER = CalendarScheduler
 
 
 class Simulator:
@@ -356,21 +102,30 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self.scheduler = DEFAULT_SCHEDULER()
-        self._insert = self.scheduler.insert
-        self._seq = itertools.count()
-        self._running = False
+        queue: List[_Entry] = []
+        seq_next = itertools.count().__next__
+        self._queue = queue
+        self._seq_next = seq_next
+        self._cancelled = 0
         self._free_events: List[Event] = []
         self.events_processed = 0
-        #: fire-and-forget ``schedule``: ``post(delay, fn, *args)`` queues a
-        #: bare tuple with no cancellation handle.  The hot-path tier: same
-        #: clock, same FIFO sequence space, same ordering guarantees, built
-        #: by the scheduler as a single fused call frame.
-        self.post: Callable[..., None] = self.scheduler.make_post(self, self._seq)
         #: current simulation time in seconds (read-only for components)
         self.now = 0.0
         self.seed = seed
         self.rng = random.Random(seed)
+
+        heappush = heapq.heappush
+
+        def post(delay: float, fn: Callable, *args: Any) -> None:
+            if delay < 0:
+                raise ValueError(f"cannot schedule in the past (delay={delay})")
+            heappush(queue, (self.now + delay, seq_next(), fn, args))
+
+        #: fire-and-forget ``schedule``: ``post(delay, fn, *args)`` queues a
+        #: bare tuple with no cancellation handle.  The hot-path tier: same
+        #: clock, same FIFO sequence space, same ordering guarantees, one
+        #: call frame over the queue and counter it closes over.
+        self.post: Callable[..., None] = post
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
@@ -381,33 +136,20 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         time = self.now + delay
+        seq = self._seq_next()
         free = self._free_events
         if free:
             event = free.pop()
             event.time = time
-            event.seq = seq = next(self._seq)
+            event.seq = seq
             event.fn = fn
             event.args = args
             event.cancelled = False
         else:
-            seq = next(self._seq)
             event = Event(time, seq, fn, args)
-        event._queue = self.scheduler
-        self._insert(time, seq, event, None)
+        event._sim = self
+        heapq.heappush(self._queue, (time, seq, event, None))
         return event
-
-    def schedule_at(self, time: float, fn: Callable, *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulation time ``time``.
-
-        ``time`` must not lie in the past: silently clamping would fire
-        the callback at a different instant than requested, which is the
-        kind of divergence the determinism suite exists to catch.
-        """
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule in the past (time={time}, now={self.now})"
-            )
-        return self.schedule(time - self.now, fn, *args)
 
     def run(self, until: Optional[float] = None) -> None:
         """Process events in timestamp order.
@@ -417,20 +159,70 @@ class Simulator:
         if no event fires exactly there, so back-to-back ``run`` calls see a
         monotone clock.
         """
-        self._running = True
         limit = math.inf if until is None else until
-        self.events_processed += self.scheduler._run(self, limit)
-        self._running = False
+        queue = self._queue
+        heappop = heapq.heappop
+        refcount = getrefcount
+        pool_max = _EVENT_POOL_MAX
+        free = self._free_events
+        n = 0
+        while queue:
+            head = queue[0]
+            if head[0] > limit:
+                break
+            heappop(queue)
+            fn = head[2]
+            args = head[3]
+            if args is None:
+                event = fn
+                event._sim = None
+                if event.cancelled:
+                    self._cancelled -= 1
+                else:
+                    self.now = head[0]
+                    fn = event.fn
+                    args = event.args
+                    event.fn = None
+                    event.args = ()
+                    head = None
+                    fn(*args)
+                    n += 1
+                    args = None
+                head = None
+                # The pool only takes events nothing else references.
+                if len(free) < pool_max and refcount(event) == 2:
+                    free.append(event)
+            else:
+                self.now = head[0]
+                head = None
+                fn(*args)
+                n += 1
+                args = None
+        self.events_processed += n
         if until is not None and self.now < until:
             self.now = until
 
-    def stop(self) -> None:
-        """Stop the loop after the currently executing event returns."""
-        self._running = False
+    def due(self, time: float) -> bool:
+        """Whether a queued entry is due by ``time``.
+
+        A cancelled entry counts until it is purged, which only ever
+        answers ``True`` where ``False`` was safe.
+        """
+        queue = self._queue
+        return bool(queue) and queue[0][0] <= time
+
+    def _note_cancel(self) -> None:
+        self._cancelled += 1
+        if self._cancelled > 32 and self._cancelled * 2 > len(self._queue):
+            # In place, so a dispatch loop holding the list stays valid.
+            queue = self._queue
+            queue[:] = [e for e in queue if e[3] is not None or not e[2].cancelled]
+            heapq.heapify(queue)
+            self._cancelled = 0
 
     def pending(self) -> int:
         """Number of non-cancelled events still queued."""
-        return self.scheduler.pending()
+        return len(self._queue) - self._cancelled
 
     # -- random helpers ----------------------------------------------------
     # Centralised so components never touch module-level randomness.

@@ -16,8 +16,8 @@ The data path takes three exact short-cuts.  An idle channel starts
 transmitting without a round trip through its queue; a lossless channel
 draws no loss; and a delivery due at the instant its transmission ends
 (the zero-delay router bridge) runs inline at the end of ``_tx_done``
-when the scheduler has nothing else due at that instant
-(:meth:`~repro.simnet.engine.CalendarScheduler.due`).  The skipped event
+when the simulator has nothing else due at that instant
+(:meth:`~repro.simnet.engine.Simulator.due`).  The skipped event
 would have been the very next one dispatched, and the next transmission
 is posted before the inline call, so every later post keeps its sequence
 order and the draw sequence is unchanged.
@@ -195,7 +195,7 @@ class Channel:
             if arrival < last:
                 arrival = last
             self._last_arrival = arrival
-            if arrival == now and not sim.scheduler.due(now):
+            if arrival == now and not sim.due(now):
                 # The delivery would be the very next event dispatched:
                 # run it as this callback's last statement instead.
                 inline = pkt

@@ -22,6 +22,7 @@ from repro.experiments.common import CACHE_VERSION
 from repro.faults.base import FAULT_NAMES
 from repro.pipeline.records import record_to_json
 from repro.testbed.campaign import CampaignConfig, iter_campaign
+from tests.golden import first_difference
 
 GOLDEN = Path(__file__).with_name("table2_cells.jsonl")
 #: SHA-256 of GOLDEN (every line followed by ``\n``)
@@ -36,26 +37,6 @@ def table2_cells():
         yield name, CampaignConfig(
             healthy_fraction=0.0, mild_fraction=0.0, faults=(name,), **common
         )
-
-
-def _union(a: dict, b: dict) -> list:
-    """Keys of ``a`` in order, then those only ``b`` has."""
-    return list(a) + [k for k in b if k not in a]
-
-
-def first_difference(golden: dict, got: dict) -> str:
-    """The first differing field (and key, for the dict fields)."""
-    for field in _union(golden, got):
-        want, have = golden.get(field), got.get(field)
-        if want == have:
-            continue
-        if isinstance(want, dict) and isinstance(have, dict):
-            for key in _union(want, have):
-                if want.get(key) != have.get(key):
-                    return (f"{field}[{key!r}]: golden {want.get(key)!r}, "
-                            f"now {have.get(key)!r}")
-        return f"{field}: golden {want!r}, now {have!r}"
-    return "same values, different bytes (key order or float formatting)"
 
 
 def test_golden_file_is_pinned():

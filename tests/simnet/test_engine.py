@@ -72,14 +72,6 @@ def test_negative_delay_rejected():
         sim.schedule(-0.1, lambda: None)
 
 
-def test_schedule_at_absolute_time():
-    sim = Simulator()
-    times = []
-    sim.schedule(1.0, lambda: sim.schedule_at(5.0, lambda: times.append(sim.now)))
-    sim.run()
-    assert times == [5.0]
-
-
 def test_schedule_during_run():
     sim = Simulator()
     fired = []
@@ -93,15 +85,6 @@ def test_schedule_during_run():
     sim.run()
     assert fired == [0, 1, 2, 3]
     assert sim.now == 3.0
-
-
-def test_stop_halts_processing():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, lambda: (fired.append(1), sim.stop()))
-    sim.schedule(2.0, lambda: fired.append(2))
-    sim.run()
-    assert fired == [1]
 
 
 def test_determinism_same_seed():

@@ -1,7 +1,7 @@
 """Unit and property tests for the TCP implementation."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Channel
@@ -24,7 +24,8 @@ def build(seed=0, rate=10e6, delay=0.01, loss=0.0, loss_burst=1.0, queue=256 * 1
 
 
 def transfer(sim, client_node, server_node, size, request=400, until=300.0, cc="cubic"):
-    state = {"received": 0, "closed": False, "server_ep": None}
+    state = {"received": 0, "closed": False, "server_ep": None,
+             "established": False, "failures": []}
 
     def on_conn(ep):
         state["server_ep"] = ep
@@ -39,7 +40,13 @@ def transfer(sim, client_node, server_node, size, request=400, until=300.0, cc="
 
     server = TcpServer(sim, server_node, 80, on_conn, cc=cc)
     client = open_connection(sim, client_node, server_node.name, 80, cc=cc)
-    client.on_established = lambda: client.send(request)
+
+    def on_established():
+        state["established"] = True
+        client.send(request)
+
+    client.on_established = on_established
+    client.on_fail = state["failures"].append
 
     def on_data(n, t):
         state["received"] += n
@@ -184,9 +191,19 @@ def test_abort_frees_port():
     loss=st.sampled_from([0.0, 0.01, 0.03]),
     seed=st.integers(min_value=0, max_value=10_000),
 )
+# Bursty loss eats all six SYNs: the handshake gives up after
+# MAX_SYN_RETRIES retries and no byte arrives.
+@example(size=0, loss=0.01, seed=475)
+@example(size=1, loss=0.01, seed=475)
 def test_property_exact_once_delivery(size, loss, seed):
-    """Invariant: the receiver reads exactly the bytes sent, once."""
+    """Invariant: a connection that opens reads exactly the bytes sent,
+    once, and closes; one that cannot open fails once, reading nothing."""
     sim, a, b = build(seed=seed, loss=loss, loss_burst=2.0)
     state = transfer(sim, a, b, size=size, until=900.0)
-    assert state["received"] == size
-    assert state["closed"] is True
+    if state["established"]:
+        assert state["failures"] == []
+        assert state["received"] == size
+        assert state["closed"] is True
+    else:
+        assert state["failures"] == ["handshake-timeout"]
+        assert state["received"] == 0

@@ -98,8 +98,9 @@ def test_version_string():
 
 
 def test_simnet_exports_one_engine():
-    """One simulator, one scheduler, the stdlib RNG, no packet pool."""
+    """One simulator, one event heap, the stdlib RNG, no packet pool."""
     import repro.simnet
+    from repro.simnet import engine
 
     removed = {"EventLoop", "SessionContext", "ReferenceScheduler",
                "SCHEDULERS", "make_scheduler", "RngBlockAllocator",
@@ -110,4 +111,12 @@ def test_simnet_exports_one_engine():
     assert not removed & set(dir(importlib.import_module("repro.simnet.packet")))
     with pytest.raises(ImportError):
         importlib.import_module("repro.simnet.rng")
-    assert {"Simulator", "CalendarScheduler"} <= set(repro.simnet.__all__)
+    assert "Simulator" in repro.simnet.__all__
+    # No scheduler class or monkeypatch seam survives, under any name.
+    assert not [n for n in repro.simnet.__all__ if "scheduler" in n.lower()]
+    assert not [n for n in dir(engine) if "scheduler" in n.lower()]
+    sim = engine.Simulator()
+    for name in ("scheduler", "stop", "schedule_at"):
+        assert not hasattr(sim, name)
+    with pytest.raises(ImportError):
+        importlib.import_module("tests.oracles.scheduler")

@@ -1,8 +1,7 @@
 """Fast-path equivalence: the simnet fast paths must be invisible in the data.
 
-The calendar scheduler, the Event free list, the channel short-cuts and
-the incremental probes are throughput work only -- campaign records must
-stay *byte-identical* to a run on the binary-heap scheduler oracle and
+The Event free list, the channel short-cuts and the incremental probes
+are throughput work only -- campaign records must stay *byte-identical*
 across worker counts, and the dataset cache key must not move
 (CACHE_VERSION stays 5: cached datasets from before the rework remain
 valid).  ``tests/golden`` pins the records themselves across commits.
@@ -11,9 +10,7 @@ valid).  ``tests/golden`` pins the records themselves across commits.
 import pickle
 
 from repro.experiments.common import CACHE_VERSION, _config_key
-from repro.simnet import engine
 from repro.testbed.campaign import CampaignConfig, run_campaign
-from tests.oracles.scheduler import HeapScheduler
 
 
 def _tiny_config():
@@ -32,13 +29,6 @@ def _payload(records):
         )
         for r in records
     ]
-
-
-def test_records_identical_across_schedulers(monkeypatch):
-    calendar = _payload(run_campaign(_tiny_config(), workers=1))
-    monkeypatch.setattr(engine, "DEFAULT_SCHEDULER", HeapScheduler)
-    reference = _payload(run_campaign(_tiny_config(), workers=1))
-    assert calendar == reference
 
 
 def test_records_identical_serial_vs_parallel():
